@@ -8,6 +8,7 @@
 // repository, not just for the analytical model.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -18,6 +19,9 @@
 #include "pruning/policies.hpp"
 #include "quant/quantized_vnm.hpp"
 #include "spatha/spmm.hpp"
+#include "transformer/attention_core.hpp"
+#include "transformer/linear.hpp"
+#include "transformer/ops.hpp"
 
 namespace {
 
@@ -152,6 +156,90 @@ BENCHMARK(BM_VnmCompression)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
 using venom::bench::seconds_per_call;
 
+/// Same-run ratio rows for the encoder's time outside the SpMM.
+///
+/// attention_core: the multi-head attention core against its per-query
+/// scalar oracle on a 256-token causal prefill (hidden 256, 4 heads), on
+/// a one-thread context so the ratio measures the kernels, not the
+/// runner's core count.
+///
+/// gelu_after_linear: GELU's cost per element at 9 tokens over its cost
+/// at 8, each call right after a Linear::forward at that width. ~1.0 when
+/// healthy; a conversion that leaves the upper ymm state dirty on a
+/// ragged width makes every later legacy-SSE tanhf pay a several-fold
+/// penalty, and the ratio falls to ~0.25 (README "Attention core").
+void transformer_rows(std::vector<venom::bench::JsonRecord>& records) {
+  constexpr std::size_t kTokens = 256, kHidden = 256, kHeads = 4, kFfn = 1024;
+  Rng rng(3);
+  const HalfMatrix q = random_half_matrix(kHidden, kTokens, rng);
+  const HalfMatrix k = random_half_matrix(kHidden, kTokens, rng);
+  const HalfMatrix v = random_half_matrix(kHidden, kTokens, rng);
+  const std::vector<std::size_t> ends = {kTokens};
+  const transformer::AttentionMask causal{.causal = true};
+  ops::ExecContextOptions one_thread;
+  one_thread.threads = 1;
+  ops::ExecContext ctx(one_thread);
+  HalfMatrix out;
+  const double core_s = seconds_per_call([&] {
+    transformer::attention_core({.q = q, .k = k, .v = v, .seq_ends = ends,
+                                 .heads = kHeads, .mask = causal},
+                                {.context = &out}, ctx);
+    benchmark::DoNotOptimize(out.data());
+  });
+  const double ref_s = seconds_per_call([&] {
+    benchmark::DoNotOptimize(
+        transformer::attention_reference(q, k, v, ends, kHeads, causal));
+  });
+  // Each live (query, key) pair: dh multiply-adds in the scores and dh in
+  // the context, per head.
+  const double flops = 2.0 * 2.0 * double(kTokens * (kTokens + 1) / 2) *
+                       double(kHidden);
+  const std::string shape = "T256 h256x4 causal";
+  records.push_back({"attention_core", shape, flops / core_s * 1e-9,
+                     ref_s / core_s});
+  records.push_back({"attention_reference", shape, flops / ref_s * 1e-9, 1.0});
+  std::printf("Attention core vs per-query oracle (%s, 1 thread):\n"
+              "  %7.2f GFLOP/s  (oracle %5.2f GFLOP/s, speedup %.1fx)\n",
+              shape.c_str(), flops / core_s * 1e-9, flops / ref_s * 1e-9,
+              ref_s / core_s);
+
+  transformer::Linear lin = transformer::Linear::random(kFfn, kHidden, rng);
+  lin.sparsify({64, 2, 8});
+  // Nine interleaved samples of 30 calls at each width; the ratio is the
+  // median of the per-sample ratios, so host drift between the two widths
+  // cancels.
+  const HalfMatrix x8 = random_half_matrix(kHidden, 8, rng);
+  const HalfMatrix x9 = random_half_matrix(kHidden, 9, rng);
+  const auto ns_per_element = [&](const HalfMatrix& x) {
+    constexpr int kCalls = 30;
+    double ns = 0.0;
+    for (int i = 0; i < kCalls; ++i) {
+      const HalfMatrix y = lin.forward(x);
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(transformer::gelu(y));
+      ns += std::chrono::duration<double, std::nano>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+    }
+    return ns / kCalls / double(kFfn * x.cols());
+  };
+  std::vector<double> ratios, ragged_ns;
+  for (int sample = 0; sample < 9; ++sample) {
+    const double aligned = ns_per_element(x8);
+    ragged_ns.push_back(ns_per_element(x9));
+    ratios.push_back(aligned / ragged_ns.back());
+  }
+  std::sort(ratios.begin(), ratios.end());
+  std::sort(ragged_ns.begin(), ragged_ns.end());
+  const double ratio = ratios[ratios.size() / 2];
+  const double ragged = ragged_ns[ragged_ns.size() / 2];
+  records.push_back({"gelu_after_linear", "1024x9 vs 1024x8 tokens",
+                     1.0 / ragged, ratio, "gelem_per_s"});
+  std::printf("GELU after Linear::forward: %.1f ns/element at 9 tokens, "
+              "8-token/9-token cost ratio %.2f\n",
+              ragged, ratio);
+}
+
 /// Measures the packed float-panel pipeline against the seed scalar path
 /// on the Table-1 bench shape and writes BENCH_kernels.json so the perf
 /// trajectory is tracked across PRs.
@@ -204,6 +292,7 @@ void write_speedup_json() {
     std::printf("  %-24s %7.2f GFLOP/s  (%.2fx over fp16 fast)\n",
                 (shape + " fp8").c_str(), flops / f8_s * 1e-9, fast_s / f8_s);
   }
+  transformer_rows(records);
   // Merge (not overwrite) so bench_autotune's tuned-vs-heuristic records
   // survive a re-run of this harness and vice versa.
   venom::bench::merge_bench_json("BENCH_kernels.json", records);

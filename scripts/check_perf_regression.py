@@ -19,7 +19,9 @@ baseline (bench/baseline_kernels.json) record by record, keyed on
     it gets its own VENOM_PERF_RATIO_TOLERANCE (percent, defaults to
     VENOM_PERF_TOLERANCE) — keep it strict even when the absolute
     tolerance is widened for hosted runners, or the ratio check stops
-    catching real same-run regressions.
+    catching real same-run regressions. A baseline record whose healthy
+    ratio sits near or below 1.0 (e.g. ragged vs aligned cost per
+    element) opts in with "ratio_gate": true.
 
 A baseline record missing from the fresh file fails the gate (a bench
 that silently stopped emitting is a regression too). Fresh records not
@@ -83,7 +85,7 @@ def main():
                     f"{label}: {cur_val:.3f} {unit} vs baseline "
                     f"{base_val:.3f} ({-worse:+.1%} beyond -{tol:.0%})")
         base_speedup = base.get("speedup_vs_seed", 1.0)
-        if base_speedup > 1.0:
+        if base_speedup > 1.0 or base.get("ratio_gate", False):
             cur_speedup = cur.get("speedup_vs_seed", 1.0)
             worse = (base_speedup - cur_speedup) / base_speedup
             status = "OK" if worse <= ratio_tolerance else "REGRESSION"

@@ -105,10 +105,20 @@ std::ostream& operator<<(std::ostream& os, half_t h);
 /// branch-free integer loop. `src` and `dst` must not overlap.
 void half_to_float_n(const half_t* src, float* dst, std::size_t n);
 
+/// Bulk binary16 -> float conversion of a (rows x cols) panel of a
+/// row-major matrix with leading dimension `ld`, written transposed:
+/// dst[c * rows + r] = src[r * ld + c].to_float(). The attention context
+/// kernel reads values position-major; this widens and transposes 8 x 8
+/// blocks in registers (F16C) instead of moving one element at a time.
+void half_to_float_transposed(const half_t* src, std::size_t ld,
+                              std::size_t rows, std::size_t cols,
+                              float* dst);
+
 /// Bulk float -> binary16 conversion with round-to-nearest-even:
 /// dst[i] = half_t(src[i]). Bit-identical to the scalar conversion for
-/// all finite and infinite inputs; NaNs map to a quiet NaN (payloads may
-/// differ between the F16C and scalar paths). `src`/`dst` must not overlap.
+/// every input (NaNs map to the scalar path's sign-preserving quiet NaN).
+/// The F16C path returns with the upper ymm state cleared (see the
+/// README's "Attention core" section). `src`/`dst` must not overlap.
 void float_to_half_n(const float* src, half_t* dst, std::size_t n);
 
 /// Fused helper mirroring SPTC accumulation: acc (fp32) += a*b in fp32,

@@ -27,6 +27,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/arena.hpp"
 #include "common/thread_pool.hpp"
@@ -57,13 +58,14 @@ struct ExecContextOptions {
   std::string tuning_cache_path;
 };
 
-/// Per-head working buffers for cached (KV-ring) attention: gathered K/V
-/// panels, the single-column query, the score row, and the context
-/// column. Pooled so the steady-state decode step reuses buffers already
-/// sized at their high-water mark and performs no heap allocation.
-struct KvAttnScratch {
-  HalfMatrix kh, vh, qh, ctx;
-  FloatMatrix scores;
+/// Working buffers of one attention-core tile (transformer/attention_core):
+/// the query block, one key tile's fp32 key panel and transposed value
+/// panel, the block's score rows and context accumulators —
+/// O(query block x window). Pooled so the steady-state decode step reuses
+/// buffers already sized at their high-water mark and performs no heap
+/// allocation.
+struct AttentionScratch {
+  std::vector<float> qf, kf, vt, scores, acc;
 };
 
 /// Owns the execution resources one workload's operator dispatches share.
@@ -82,7 +84,9 @@ class ExecContext {
   spatha::PlanCache& plan_cache() const { return plan_cache_; }
   QuantCache& quant_cache() const { return quant_cache_; }
   spatha::SpmmScratchPool& scratch() const { return scratch_; }
-  ObjectPool<KvAttnScratch>& kv_scratch() const { return kv_scratch_; }
+  ObjectPool<AttentionScratch>& attention_scratch() const {
+    return attention_scratch_;
+  }
   const ExecContextOptions& options() const { return opts_; }
 
   /// Kernel configuration for a V:N:M problem: the context's tuning
@@ -133,7 +137,7 @@ class ExecContext {
   mutable spatha::PlanCache plan_cache_;
   mutable QuantCache quant_cache_;
   mutable spatha::SpmmScratchPool scratch_;
-  mutable ObjectPool<KvAttnScratch> kv_scratch_;
+  mutable ObjectPool<AttentionScratch> attention_scratch_;
   // Lazy one-shot load of the private tuning cache. std::call_once (not a
   // venom::Mutex) on purpose: the guarded action runs exactly once and
   // own_tuning_ is immutable afterwards — readers need no lock, which a

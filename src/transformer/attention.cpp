@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "ops/ops.hpp"
+#include "transformer/attention_core.hpp"
 #include "transformer/kv_cache.hpp"
 #include "transformer/ops.hpp"
 
@@ -125,12 +126,7 @@ HalfMatrix MultiHeadAttention::forward_batched(
     // forward() returned for an empty activation).
     return HalfMatrix(hidden_, 0);
   }
-  for (std::size_t i = 0; i + 1 < seq_ends.size(); ++i)
-    VENOM_CHECK_MSG(seq_ends[i] < seq_ends[i + 1],
-                    "sequence ends must be strictly increasing");
-  VENOM_CHECK_MSG(seq_ends.front() > 0, "empty leading sequence");
-  const std::size_t dh = hidden_ / heads_;
-  const float scale = 1.0f / std::sqrt(float(dh));
+  ops::ExecContext& ectx = ops::resolve(call_ctx, ctx_);
 
   // The projections are token-wise: one SpMM over the whole packed batch
   // (the weight-stationary reuse serving is after). Every output column
@@ -139,58 +135,36 @@ HalfMatrix MultiHeadAttention::forward_batched(
   const HalfMatrix q = wq_.forward(x, timing, call_ctx);
   const HalfMatrix k = wk_.forward(x, timing, call_ctx);
   const HalfMatrix v = wv_.forward(x, timing, call_ctx);
+  const AttentionCoreArgs args{.q = q, .k = k, .v = v, .seq_ends = seq_ends,
+                               .heads = heads_, .mask = mask()};
 
-  HalfMatrix context(hidden_, x.cols());
+  HalfMatrix context;
+  if (!score_pattern_.has_value()) {
+    attention_core(args, {.context = &context, .timing = timing}, ectx);
+    return wo_.forward(context, timing, call_ctx);
+  }
+
+  // Dynamic N:M attention: the core's probabilities are pruned per
+  // (head, sequence) and context^T = P_nm * V^T is dispatched through the
+  // ops layer, which selects the register-blocked N:M fast path
+  // (bit-identical to the spmm_24 baseline).
+  std::vector<FloatMatrix> probs;
+  attention_core(args, {.probs = &probs, .timing = timing}, ectx);
+  const std::size_t dh = hidden_ / heads_;
+  context.resize(hidden_, x.cols());
+  std::size_t pi = 0;
   for (std::size_t h = 0; h < heads_; ++h) {
     std::size_t s0 = 0;
     for (const std::size_t s1 : seq_ends) {
-      const HalfMatrix qh = slice_head(q, h, dh, s0, s1);
-      const HalfMatrix kh = slice_head(k, h, dh, s0, s1);
-      const HalfMatrix vh = slice_head(v, h, dh, s0, s1);
-
-      auto t0 = std::chrono::steady_clock::now();
-      FloatMatrix scores = attention_scores(qh, kh, scale);
-      if (timing != nullptr) timing->attn_matmul_s += seconds_since(t0);
-
-      t0 = std::chrono::steady_clock::now();
-      if (causal_) {
-        // Decoder mask: query i must not see keys j > i (positions are
-        // relative to the sequence's own start). A nonzero window also
-        // hides keys that fell out of the sliding window, j + w <= i —
-        // the exact set a capacity-w KV ring no longer holds.
-        for (std::size_t i = 0; i < scores.rows(); ++i) {
-          for (std::size_t j = i + 1; j < scores.cols(); ++j)
-            scores(i, j) = -1e30f;
-          if (attn_window_ != 0)
-            for (std::size_t j = 0; j + attn_window_ <= i; ++j)
-              scores(i, j) = -1e30f;
-        }
-      }
-      softmax_rows(scores);
-      if (timing != nullptr) timing->softmax_s += seconds_since(t0);
-
-      t0 = std::chrono::steady_clock::now();
-      HalfMatrix ctx;
-      if (score_pattern_.has_value()) {
-        // Dynamic N:M attention: context^T = P_nm * V^T dispatched
-        // through the ops layer, which selects the register-blocked N:M
-        // fast path (bit-identical to the spmm_24 baseline).
-        const NmMatrix p_nm = prune_probabilities(scores, *score_pattern_);
-        const HalfMatrix vt = transpose(vh);
-        const FloatMatrix ctx_t = ops::matmul(ops::MatmulArgs::make(p_nm, vt),
-                                              ops::resolve(call_ctx, ctx_));
-        ctx = HalfMatrix(vh.rows(), scores.rows());
-        for (std::size_t d = 0; d < vh.rows(); ++d)
-          for (std::size_t i = 0; i < scores.rows(); ++i)
-            ctx(d, i) = half_t(ctx_t(i, d));
-      } else {
-        ctx = attention_context(scores, vh);
-      }
-      if (timing != nullptr) timing->attn_matmul_s += seconds_since(t0);
-
+      const auto t0 = std::chrono::steady_clock::now();
+      const NmMatrix p_nm = prune_probabilities(probs[pi++], *score_pattern_);
+      const HalfMatrix vt = transpose(slice_head(v, h, dh, s0, s1));
+      const FloatMatrix ctx_t =
+          ops::matmul(ops::MatmulArgs::make(p_nm, vt), ectx);
       for (std::size_t d = 0; d < dh; ++d)
         for (std::size_t t = s0; t < s1; ++t)
-          context(h * dh + d, t) = ctx(d, t - s0);
+          context(h * dh + d, t) = half_t(ctx_t(t - s0, d));
+      if (timing != nullptr) timing->attn_matmul_s += seconds_since(t0);
       s0 = s1;
     }
   }
@@ -214,12 +188,30 @@ HalfMatrix MultiHeadAttention::forward_cached(
                                                    << " caches for "
                                                    << seq_ends.size()
                                                    << " sequences");
-  for (std::size_t i = 0; i + 1 < seq_ends.size(); ++i)
-    VENOM_CHECK_MSG(seq_ends[i] < seq_ends[i + 1],
+  // Nothing is appended until the core has returned, so a call rejected
+  // here or by the core's own checks leaves every ring as it was.
+  std::size_t s0 = 0;
+  for (std::size_t s = 0; s < seq_ends.size(); ++s) {
+    VENOM_CHECK_MSG(caches[s] != nullptr, "null KvCache for sequence " << s);
+    const KvCache& cache = *caches[s];
+    VENOM_CHECK_MSG(attn_window_ == 0 || cache.capacity() == attn_window_,
+                    "attention window " << attn_window_
+                                        << " != KvCache capacity "
+                                        << cache.capacity()
+                                        << " (the ring must hold exactly "
+                                           "the window)");
+    VENOM_CHECK_MSG(seq_ends[s] > s0,
                     "sequence ends must be strictly increasing");
-  VENOM_CHECK_MSG(seq_ends.front() > 0, "empty leading sequence");
-  const std::size_t dh = hidden_ / heads_;
-  const float scale = 1.0f / std::sqrt(float(dh));
+    VENOM_CHECK_MSG(attn_window_ != 0 ||
+                        cache.layer_length(layer) + (seq_ends[s] - s0) <=
+                            cache.capacity(),
+                    "KV cache overflow at position "
+                        << cache.capacity() << " (capacity "
+                        << cache.capacity()
+                        << "): set an attention window to serve "
+                           "sequences longer than the ring");
+    s0 = seq_ends[s];
+  }
 
   // Projections over the whole packed batch — the same single SpMM per
   // weight as forward_batched, and the columns land bit-identically
@@ -228,61 +220,20 @@ HalfMatrix MultiHeadAttention::forward_cached(
   const HalfMatrix k = wk_.forward(x, timing, call_ctx);
   const HalfMatrix v = wv_.forward(x, timing, call_ctx);
 
-  auto scratch = ops::resolve(call_ctx, ctx_).kv_scratch().acquire();
-  HalfMatrix context(hidden_, x.cols());
-  std::size_t s0 = 0;
+  // Each query attends to its ring's resident window followed by its own
+  // chunk's columns up to itself: exactly the sliding-window causal mask
+  // of the full forward. Only then does the chunk enter the ring.
+  HalfMatrix context;
+  attention_core({.q = q, .k = k, .v = v, .seq_ends = seq_ends,
+                  .heads = heads_, .mask = mask(), .caches = caches,
+                  .layer = layer},
+                 {.context = &context, .timing = timing},
+                 ops::resolve(call_ctx, ctx_));
+  s0 = 0;
   for (std::size_t s = 0; s < seq_ends.size(); ++s) {
-    const std::size_t s1 = seq_ends[s];
-    VENOM_CHECK_MSG(caches[s] != nullptr, "null KvCache for sequence " << s);
-    KvCache& cache = *caches[s];
-    VENOM_CHECK_MSG(cache.hidden() == hidden_ && layer < cache.layers(),
-                    "KvCache shape (" << cache.layers() << " layers, hidden "
-                                      << cache.hidden()
-                                      << ") does not fit layer " << layer
-                                      << " of hidden " << hidden_);
-    VENOM_CHECK_MSG(attn_window_ == 0 || cache.capacity() == attn_window_,
-                    "attention window " << attn_window_
-                                        << " != KvCache capacity "
-                                        << cache.capacity()
-                                        << " (the ring must hold exactly "
-                                           "the window)");
-    for (std::size_t t = s0; t < s1; ++t) {
-      // Append before attending: position p's query sees the cached
-      // window [max(0, p + 1 - w), p], itself included — exactly the
-      // sliding-window causal mask of the full forward.
-      const std::size_t p = cache.append(layer, k, v, t);
-      VENOM_CHECK_MSG(attn_window_ != 0 || p < cache.capacity(),
-                      "KV cache overflow at position "
-                          << p << " (capacity " << cache.capacity()
-                          << "): set an attention window to serve "
-                             "sequences longer than the ring");
-      const std::size_t win = attn_window_ != 0 ? attn_window_
-                                                : cache.capacity();
-      const std::size_t lo = p + 1 > win ? p + 1 - win : 0;
-      const std::size_t w = p + 1 - lo;
-      for (std::size_t h = 0; h < heads_; ++h) {
-        auto t0 = std::chrono::steady_clock::now();
-        cache.gather_k(layer, h * dh, dh, lo, w, scratch->kh);
-        cache.gather_v(layer, h * dh, dh, lo, w, scratch->vh);
-        scratch->qh.resize(dh, 1);
-        for (std::size_t d = 0; d < dh; ++d)
-          scratch->qh(d, 0) = q(h * dh + d, t);
-        attention_scores_into(scratch->qh, scratch->kh, scale,
-                              scratch->scores);
-        if (timing != nullptr) timing->attn_matmul_s += seconds_since(t0);
-
-        t0 = std::chrono::steady_clock::now();
-        softmax_rows(scratch->scores);
-        if (timing != nullptr) timing->softmax_s += seconds_since(t0);
-
-        t0 = std::chrono::steady_clock::now();
-        attention_context_into(scratch->scores, scratch->vh, scratch->ctx);
-        for (std::size_t d = 0; d < dh; ++d)
-          context(h * dh + d, t) = scratch->ctx(d, 0);
-        if (timing != nullptr) timing->attn_matmul_s += seconds_since(t0);
-      }
-    }
-    s0 = s1;
+    for (std::size_t t = s0; t < seq_ends[s]; ++t)
+      caches[s]->append(layer, k, v, t);
+    s0 = seq_ends[s];
   }
   return wo_.forward(context, timing, call_ctx);
 }
@@ -318,32 +269,11 @@ FloatMatrix MultiHeadAttention::backward_batched(
   const HalfMatrix v = wv_.forward(x);
 
   std::vector<FloatMatrix> probs;  // one per (head, sequence), pass order
-  probs.reserve(heads_ * seq_ends.size());
-  HalfMatrix context(hidden_, x.cols());
-  for (std::size_t h = 0; h < heads_; ++h) {
-    std::size_t s0 = 0;
-    for (const std::size_t s1 : seq_ends) {
-      const HalfMatrix qh = slice_head(q, h, dh, s0, s1);
-      const HalfMatrix kh = slice_head(k, h, dh, s0, s1);
-      const HalfMatrix vh = slice_head(v, h, dh, s0, s1);
-      FloatMatrix scores = attention_scores(qh, kh, scale);
-      if (causal_)
-        for (std::size_t i = 0; i < scores.rows(); ++i) {
-          for (std::size_t j = i + 1; j < scores.cols(); ++j)
-            scores(i, j) = -1e30f;
-          if (attn_window_ != 0)
-            for (std::size_t j = 0; j + attn_window_ <= i; ++j)
-              scores(i, j) = -1e30f;
-        }
-      softmax_rows(scores);
-      const HalfMatrix ctx = attention_context(scores, vh);
-      for (std::size_t d = 0; d < dh; ++d)
-        for (std::size_t t = s0; t < s1; ++t)
-          context(h * dh + d, t) = ctx(d, t - s0);
-      probs.push_back(std::move(scores));
-      s0 = s1;
-    }
-  }
+  HalfMatrix context;
+  attention_core({.q = q, .k = k, .v = v, .seq_ends = seq_ends,
+                  .heads = heads_, .mask = mask()},
+                 {.context = &context, .probs = &probs},
+                 ops::resolve(nullptr, ctx_));
 
   // Output projection backward: grad_context flows into the per-head
   // attention backward below.

@@ -22,6 +22,7 @@
 #include <span>
 
 #include "format/nm.hpp"
+#include "transformer/attention_core.hpp"
 #include "transformer/config.hpp"
 #include "transformer/linear.hpp"
 
@@ -143,6 +144,10 @@ class MultiHeadAttention {
   Linear& wo() { return wo_; }
 
  private:
+  AttentionMask mask() const {
+    return {.causal = causal_, .window = causal_ ? attn_window_ : 0};
+  }
+
   std::size_t hidden_ = 0;
   std::size_t heads_ = 0;
   bool causal_ = false;

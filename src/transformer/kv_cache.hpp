@@ -1,9 +1,13 @@
 // Ring-buffer KV cache for incremental (autoregressive) decode.
 //
 // One KvCache holds one sequence's cached key/value projections for
-// every layer of an encoder stack: per layer, two fp16 panels of shape
-// (hidden x capacity) written as rings — logical position p lives in
-// slot p % capacity. Appending a token's K/V columns is allocation-free
+// every layer of an encoder stack: per layer, two fp16 panels written as
+// rings — logical position p lives in slot p % capacity. K is stored
+// (hidden x capacity), a slot per column; V is stored (capacity x hidden),
+// a slot per row. Those are the layouts the attention core reads: its
+// score kernel runs along one feature row of K, its context kernel along
+// one position row of V, so neither is transposed per decode step.
+// Appending a token's K/V columns is allocation-free
 // (the panels are sized once, at construction), and once the sequence
 // outgrows the capacity the ring overwrites the oldest position:
 // capacity IS the attention window. The cached forward in attention.cpp
@@ -79,6 +83,14 @@ class KvCache {
   void gather_v(std::size_t l, std::size_t row0, std::size_t dh,
                 std::size_t lo, std::size_t w, HalfMatrix& out) const;
 
+  /// Layer l's rings, read-only, for the attention core (which converts
+  /// resident positions straight out of them instead of gathering them
+  /// first): K is (hidden x capacity) with position p in column
+  /// p % capacity(); V is (capacity x hidden) with position p in row
+  /// p % capacity().
+  const HalfMatrix& k_ring(std::size_t l) const;
+  const HalfMatrix& v_ring(std::size_t l) const;
+
   /// Resident K/V bytes: 2 * layers * hidden * capacity * sizeof(fp16).
   std::size_t bytes() const {
     return 2 * layers_.size() * hidden_ * capacity_ * sizeof(half_t);
@@ -86,13 +98,13 @@ class KvCache {
 
  private:
   struct LayerKv {
-    HalfMatrix k, v;           ///< (hidden x capacity) rings
+    HalfMatrix k;              ///< (hidden x capacity) ring
+    HalfMatrix v;              ///< (capacity x hidden) ring
     std::size_t length = 0;    ///< positions appended to this layer
   };
 
-  void gather(const HalfMatrix& ring, std::size_t layer_len, std::size_t row0,
-              std::size_t dh, std::size_t lo, std::size_t w,
-              HalfMatrix& out) const;
+  void check_resident(std::size_t l, std::size_t row0, std::size_t dh,
+                      std::size_t lo, std::size_t w) const;
 
   std::size_t hidden_ = 0;
   std::size_t capacity_ = 0;

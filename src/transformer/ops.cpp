@@ -2,27 +2,84 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
+#include "transformer/attention_kernels.hpp"
 
 namespace venom::transformer {
 
+namespace {
+
+/// Elements per converted block of the token-wise ops: 1 KiB of floats per
+/// operand stays in L1 and bounds the stack scratch.
+constexpr std::size_t kBlock = 256;
+
+/// Per-thread float panels for the attention ops and layer_norm: they
+/// settle at their high-water size, so steady-state calls allocate nothing
+/// here.
+struct OpScratch {
+  std::vector<float> a, b, row;
+};
+
+OpScratch& op_scratch() {
+  thread_local OpScratch s;
+  return s;
+}
+
+float gelu_value(float v) {
+  constexpr float kSqrt2OverPi = 0.7978845608028654f;
+  const float t = std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v));
+  return 0.5f * v * (1.0f + t);
+}
+
+}  // namespace
+
 void softmax_rows(FloatMatrix& scores) {
-  for (std::size_t r = 0; r < scores.rows(); ++r) {
-    auto row = scores.row(r);
-    const float mx = *std::max_element(row.begin(), row.end());
-    float sum = 0.0f;
-    for (auto& v : row) {
-      v = std::exp(v - mx);
-      sum += v;
-    }
-    const float inv = 1.0f / sum;
-    for (auto& v : row) v *= inv;
-  }
+  for (std::size_t r = 0; r < scores.rows(); ++r)
+    detail::softmax_row(scores.row(r).data(), scores.cols());
 }
 
 HalfMatrix layer_norm(const HalfMatrix& x, std::span<const float> gamma,
                       std::span<const float> beta, float eps) {
+  VENOM_CHECK(gamma.size() == x.rows() && beta.size() == x.rows());
+  // Vectorized across a strip of tokens: each token's statistics still
+  // reduce over the features in ascending order, as in the reference.
+  constexpr std::size_t kTok = 16;
+  const std::size_t features = x.rows();
+  HalfMatrix out(features, x.cols());
+  std::vector<float>& buf = op_scratch().a;
+  buf.resize(features * kTok);
+  for (std::size_t t0 = 0; t0 < x.cols(); t0 += kTok) {
+    const std::size_t w = std::min(kTok, x.cols() - t0);
+    for (std::size_t f = 0; f < features; ++f)
+      half_to_float_n(&x(f, t0), &buf[f * kTok], w);
+    float mean[kTok] = {}, var[kTok] = {}, inv[kTok];
+    for (std::size_t f = 0; f < features; ++f)
+      for (std::size_t u = 0; u < kTok; ++u) mean[u] += buf[f * kTok + u];
+    for (std::size_t u = 0; u < kTok; ++u) mean[u] /= float(features);
+    for (std::size_t f = 0; f < features; ++f)
+      for (std::size_t u = 0; u < kTok; ++u) {
+        const float d = buf[f * kTok + u] - mean[u];
+        var[u] += d * d;
+      }
+    for (std::size_t u = 0; u < kTok; ++u) {
+      var[u] /= float(features);
+      inv[u] = 1.0f / std::sqrt(var[u] + eps);
+    }
+    for (std::size_t f = 0; f < features; ++f) {
+      float* row = &buf[f * kTok];
+      for (std::size_t u = 0; u < kTok; ++u)
+        row[u] = (row[u] - mean[u]) * inv[u] * gamma[f] + beta[f];
+      float_to_half_n(row, &out(f, t0), w);
+    }
+  }
+  return out;
+}
+
+HalfMatrix layer_norm_reference(const HalfMatrix& x,
+                                std::span<const float> gamma,
+                                std::span<const float> beta, float eps) {
   VENOM_CHECK(gamma.size() == x.rows() && beta.size() == x.rows());
   HalfMatrix out(x.rows(), x.cols());
   for (std::size_t t = 0; t < x.cols(); ++t) {
@@ -45,16 +102,38 @@ HalfMatrix layer_norm(const HalfMatrix& x, std::span<const float> gamma,
 
 HalfMatrix gelu(const HalfMatrix& x) {
   HalfMatrix out(x.rows(), x.cols());
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float v = x.flat()[i].to_float();
-    const float t = std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v));
-    out.flat()[i] = half_t(0.5f * v * (1.0f + t));
+  float buf[kBlock];
+  for (std::size_t i = 0; i < x.size(); i += kBlock) {
+    const std::size_t n = std::min(kBlock, x.size() - i);
+    half_to_float_n(x.data() + i, buf, n);
+    for (std::size_t e = 0; e < n; ++e) buf[e] = gelu_value(buf[e]);
+    float_to_half_n(buf, out.data() + i, n);
   }
   return out;
 }
 
+HalfMatrix gelu_reference(const HalfMatrix& x) {
+  HalfMatrix out(x.rows(), x.cols());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    out.flat()[i] = half_t(gelu_value(x.flat()[i].to_float()));
+  return out;
+}
+
 HalfMatrix add(const HalfMatrix& x, const HalfMatrix& y) {
+  VENOM_CHECK(x.rows() == y.rows() && x.cols() == y.cols());
+  HalfMatrix out(x.rows(), x.cols());
+  float a[kBlock], b[kBlock];
+  for (std::size_t i = 0; i < x.size(); i += kBlock) {
+    const std::size_t n = std::min(kBlock, x.size() - i);
+    half_to_float_n(x.data() + i, a, n);
+    half_to_float_n(y.data() + i, b, n);
+    for (std::size_t e = 0; e < n; ++e) a[e] += b[e];
+    float_to_half_n(a, out.data() + i, n);
+  }
+  return out;
+}
+
+HalfMatrix add_reference(const HalfMatrix& x, const HalfMatrix& y) {
   VENOM_CHECK(x.rows() == y.rows() && x.cols() == y.cols());
   HalfMatrix out(x.rows(), x.cols());
   for (std::size_t i = 0; i < x.size(); ++i)
@@ -78,7 +157,24 @@ FloatMatrix attention_scores(const HalfMatrix& qh, const HalfMatrix& kh,
 void attention_scores_into(const HalfMatrix& qh, const HalfMatrix& kh,
                            float scale, FloatMatrix& scores) {
   VENOM_CHECK(qh.rows() == kh.rows());
-  scores.resize(qh.cols(), kh.cols());
+  const std::size_t dh = qh.rows(), tq = qh.cols(), tk = kh.cols();
+  scores.resize(tq, tk);
+  // Both panels are converted once per call; the Q panel keeps Q's
+  // (d, i) layout, so query i reads its features at stride tq.
+  OpScratch& s = op_scratch();
+  s.a.resize(dh * tq);
+  s.b.resize(dh * tk);
+  half_to_float_n(qh.data(), s.a.data(), dh * tq);
+  half_to_float_n(kh.data(), s.b.data(), dh * tk);
+  for (std::size_t i = 0; i < tq; ++i)
+    detail::score_row(s.a.data() + i, tq, s.b.data(), tk, dh, tk, scale,
+                      scores.data() + i * tk);
+}
+
+FloatMatrix attention_scores_reference(const HalfMatrix& qh,
+                                       const HalfMatrix& kh, float scale) {
+  VENOM_CHECK(qh.rows() == kh.rows());
+  FloatMatrix scores(qh.cols(), kh.cols());
   for (std::size_t i = 0; i < qh.cols(); ++i)
     for (std::size_t j = 0; j < kh.cols(); ++j) {
       float acc = 0.0f;
@@ -86,6 +182,7 @@ void attention_scores_into(const HalfMatrix& qh, const HalfMatrix& kh,
         acc += qh(d, i).to_float() * kh(d, j).to_float();
       scores(i, j) = acc * scale;
     }
+  return scores;
 }
 
 FloatMatrix add(const FloatMatrix& x, const FloatMatrix& y) {
@@ -166,7 +263,26 @@ HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh) {
 void attention_context_into(const FloatMatrix& p, const HalfMatrix& vh,
                             HalfMatrix& ctx) {
   VENOM_CHECK(p.cols() == vh.cols());
-  ctx.resize(vh.rows(), p.rows());
+  const std::size_t dh = vh.rows(), tq = p.rows(), tk = p.cols();
+  ctx.resize(dh, tq);
+  // V is converted once per call into its transpose vt(j, d), so the
+  // context of one query is a run of d-contiguous strips.
+  OpScratch& s = op_scratch();
+  s.a.resize(tk * dh);
+  s.row.resize(dh);
+  half_to_float_transposed(vh.data(), tk, dh, tk, s.a.data());
+  for (std::size_t i = 0; i < tq; ++i) {
+    std::fill(s.row.begin(), s.row.end(), 0.0f);
+    detail::context_row(p.data() + i * tk, tk, s.a.data(), dh, dh,
+                        s.row.data());
+    for (std::size_t d = 0; d < dh; ++d) ctx(d, i) = half_t(s.row[d]);
+  }
+}
+
+HalfMatrix attention_context_reference(const FloatMatrix& p,
+                                       const HalfMatrix& vh) {
+  VENOM_CHECK(p.cols() == vh.cols());
+  HalfMatrix ctx(vh.rows(), p.rows());
   for (std::size_t d = 0; d < vh.rows(); ++d)
     for (std::size_t i = 0; i < p.rows(); ++i) {
       float acc = 0.0f;
@@ -174,6 +290,7 @@ void attention_context_into(const FloatMatrix& p, const HalfMatrix& vh,
         acc += p(i, j) * vh(d, j).to_float();
       ctx(d, i) = half_t(acc);
     }
+  return ctx;
 }
 
 }  // namespace venom::transformer

@@ -33,7 +33,7 @@ FloatMatrix attention_scores(const HalfMatrix& qh, const HalfMatrix& kh,
 /// context(dh x Tq) = Vh * P^T, with P(Tq x Tk) probabilities, Vh(dh x Tk).
 HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh);
 
-/// Allocation-free variants for the decode hot path: same loops (so the
+/// Allocation-free variants for the decode hot path: same kernels (so the
 /// results are bit-identical to the value-returning forms above), but
 /// the output is resized into a caller-retained buffer — a reused
 /// scratch matrix settles at its high-water size and the steady-state
@@ -42,6 +42,29 @@ void attention_scores_into(const HalfMatrix& qh, const HalfMatrix& kh,
                            float scale, FloatMatrix& out);
 void attention_context_into(const FloatMatrix& p, const HalfMatrix& vh,
                             HalfMatrix& out);
+
+// ----------------------------------------------------- reference oracles
+//
+// The scalar loops the fast ops above replaced, kept as their oracles
+// (the spmm_vnm_reference precedent). Each fast op converts fp16 panels
+// in bulk and vectorizes across its output index, but every output keeps
+// the oracle's reduction order, so fast and reference agree bit for bit
+// on every input and build:
+//   attention_scores    ascending d per score
+//   attention_context   ascending key j per context element
+//   layer_norm          ascending feature per token statistic
+//   gelu, add           element-wise (std::tanh in both)
+
+FloatMatrix attention_scores_reference(const HalfMatrix& qh,
+                                       const HalfMatrix& kh, float scale);
+HalfMatrix attention_context_reference(const FloatMatrix& p,
+                                       const HalfMatrix& vh);
+HalfMatrix layer_norm_reference(const HalfMatrix& x,
+                                std::span<const float> gamma,
+                                std::span<const float> beta,
+                                float eps = 1e-5f);
+HalfMatrix gelu_reference(const HalfMatrix& x);
+HalfMatrix add_reference(const HalfMatrix& x, const HalfMatrix& y);
 
 // ------------------------------------------------------------- backward
 //

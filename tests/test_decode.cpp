@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "transformer/config.hpp"
 #include "transformer/encoder.hpp"
 #include "transformer/kv_cache.hpp"
+#include "transformer/ops.hpp"
 
 namespace venom::transformer {
 namespace {
@@ -383,6 +385,102 @@ TEST(CachedDecode, BitIdenticalUnderBothColumnLocModes) {
     identical = identical &&
                 outputs[0].flat()[e].bits() == outputs[1].flat()[e].bits();
   EXPECT_FALSE(identical);
+}
+
+/// The cached attention block rebuilt from public pieces: project the
+/// chunk, then per token append its K/V to `mirror`, gather the window and
+/// run scores -> softmax -> context with the public ops, one query at a
+/// time; finally the output projection.
+HalfMatrix compose_cached_attention(MultiHeadAttention& mha,
+                                    const HalfMatrix& x, KvCache& mirror,
+                                    std::size_t window) {
+  const std::size_t hidden = mha.hidden(), dh = hidden / mha.heads();
+  const float scale = 1.0f / std::sqrt(float(dh));
+  const HalfMatrix q = mha.wq().forward(x);
+  const HalfMatrix k = mha.wk().forward(x);
+  const HalfMatrix v = mha.wv().forward(x);
+  HalfMatrix ctx(hidden, x.cols()), kh, vh, qh(dh, 1), c;
+  FloatMatrix sc;
+  for (std::size_t t = 0; t < x.cols(); ++t) {
+    const std::size_t p = mirror.append(0, k, v, t);
+    const std::size_t lo = p + 1 > window ? p + 1 - window : 0;
+    for (std::size_t h = 0; h < mha.heads(); ++h) {
+      mirror.gather_k(0, h * dh, dh, lo, p + 1 - lo, kh);
+      mirror.gather_v(0, h * dh, dh, lo, p + 1 - lo, vh);
+      for (std::size_t d = 0; d < dh; ++d) qh(d, 0) = q(h * dh + d, t);
+      attention_scores_into(qh, kh, scale, sc);
+      softmax_rows(sc);
+      attention_context_into(sc, vh, c);
+      for (std::size_t d = 0; d < dh; ++d) ctx(h * dh + d, t) = c(d, 0);
+    }
+  }
+  return mha.wo().forward(ctx);
+}
+
+// Chunked prefill through a ring that wraps inside the chunks (window 16,
+// 5-token chunks): the attention core reads each chunk's early queries'
+// keys from the ring before the chunk overwrites them. Every chunk must
+// match the public ops composed per query, and the stacked chunks the
+// full windowed forward.
+TEST(CachedDecode, ChunkedPrefillAcrossRingWrapMatchesPublicOps) {
+  constexpr std::size_t kWindow = 16, kChunk = 5, kChunks = 9;
+  Encoder enc = causal_encoder(kWindow);
+  MultiHeadAttention& mha = enc.layer(0).attention();
+  Rng rng(37);
+  const HalfMatrix x = random_half_matrix(32, kChunk * kChunks, rng, 0.5f);
+
+  KvCache cache(1, 32, kWindow), mirror(1, 32, kWindow);
+  KvCache enc_cache = enc.make_cache(kWindow);
+  HalfMatrix stacked(32, x.cols());
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    HalfMatrix chunk(32, kChunk);
+    for (std::size_t r = 0; r < 32; ++r)
+      std::memcpy(&chunk(r, 0), &x(r, c * kChunk), kChunk * sizeof(half_t));
+    const std::size_t end = kChunk;
+    KvCache* caches[] = {&cache};
+    const HalfMatrix got = mha.forward_cached(
+        chunk, std::span<const std::size_t>(&end, 1), caches, 0);
+    expect_bits_eq(got, compose_cached_attention(mha, chunk, mirror, kWindow),
+                   "cached attention chunk vs public ops");
+
+    const HalfMatrix y = enc.prefill(chunk, enc_cache);
+    for (std::size_t r = 0; r < 32; ++r)
+      std::memcpy(&stacked(r, c * kChunk), &y(r, 0), kChunk * sizeof(half_t));
+  }
+  EXPECT_GT(cache.length(), 2 * kWindow);  // the ring wrapped
+  expect_bits_eq(stacked, enc.forward(x), "chunked prefill vs full forward");
+}
+
+// A non-finite value at a masked position must stay masked: a huge input
+// token drives its V (and K, Q) to infinity, and the queries before it —
+// which never see it — must come out finite and identical in the full
+// and the cached forward.
+TEST(CachedDecode, InfiniteValueAtMaskedPositionDoesNotLeak) {
+  constexpr std::size_t kTokens = 12, kHot = 9;
+  Encoder enc = causal_encoder();
+  MultiHeadAttention& mha = enc.layer(0).attention();
+  Rng rng(41);
+  HalfMatrix x = random_half_matrix(32, kTokens, rng, 0.5f);
+  for (std::size_t r = 0; r < 32; ++r)
+    x(r, kHot) = half_t(r % 2 == 0 ? 60000.0f : -60000.0f);
+  const HalfMatrix v = mha.wv().forward(x);
+  bool inf = false;
+  for (std::size_t r = 0; r < 32; ++r) inf = inf || v(r, kHot).is_inf();
+  ASSERT_TRUE(inf) << "precondition: token " << kHot << " has an infinite V";
+
+  const HalfMatrix full = mha.forward(x);
+  KvCache cache(1, 32, kTokens);
+  const std::size_t end = kTokens;
+  KvCache* caches[] = {&cache};
+  const HalfMatrix cached = mha.forward_cached(
+      x, std::span<const std::size_t>(&end, 1), caches, 0);
+  for (std::size_t t = 0; t < kHot; ++t)
+    for (std::size_t r = 0; r < 32; ++r) {
+      ASSERT_FALSE(full(r, t).is_nan() || full(r, t).is_inf())
+          << "row " << r << ", token " << t;
+      ASSERT_EQ(full(r, t).bits(), cached(r, t).bits())
+          << "row " << r << ", token " << t;
+    }
 }
 
 TEST(CachedDecode, GuardsMisuse) {

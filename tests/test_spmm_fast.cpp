@@ -232,6 +232,31 @@ TEST(HalfBulk, FloatToHalfNanStaysNan) {
   for (const half_t h : dst) EXPECT_TRUE(h.is_nan());
 }
 
+TEST(HalfBulk, TransposedMatchesScalarOnRaggedPanels) {
+  // Panels cut from a buffer that holds every half bit pattern (NaNs,
+  // infinities and subnormals included), with sides that straddle the
+  // 8 x 8 register blocks, read out of a wider matrix (ld > cols).
+  std::vector<half_t> src(65536 + 64);
+  for (std::size_t i = 0; i < src.size(); ++i)
+    src[i] = half_t::from_bits(static_cast<std::uint16_t>(i * 40503u));
+  for (const std::size_t rows : {1u, 7u, 8u, 9u, 16u, 64u})
+    for (const std::size_t cols : {1u, 5u, 8u, 13u, 64u, 100u}) {
+      const std::size_t ld = cols + 3;
+      for (std::size_t base = 0; base + rows * ld <= src.size();
+           base += 997 * ld) {
+        std::vector<float> dst(rows * cols);
+        half_to_float_transposed(src.data() + base, ld, rows, cols,
+                                 dst.data());
+        for (std::size_t r = 0; r < rows; ++r)
+          for (std::size_t c = 0; c < cols; ++c)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(dst[c * rows + r]),
+                      std::bit_cast<std::uint32_t>(
+                          src[base + r * ld + c].to_float()))
+                << rows << "x" << cols << " at (" << r << ", " << c << ")";
+      }
+    }
+}
+
 TEST(ThreadPoolFast, ChunkedCoversEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1037);

@@ -2,13 +2,18 @@
 // Spatha-sparse), attention, and the encoder stack.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "baselines/gemm.hpp"
 #include "baselines/spmm_24.hpp"
 #include "common/rng.hpp"
 #include "ops/ops.hpp"
 #include "spatha/plan.hpp"
+#include "transformer/attention_core.hpp"
 #include "transformer/config.hpp"
 #include "transformer/encoder.hpp"
 #include "transformer/ops.hpp"
@@ -555,6 +560,263 @@ TEST(Encoder, TimingBreakdownSumsToTotal) {
   EXPECT_GT(t.other_s, 0.0);
   EXPECT_NEAR(t.total(), t.gemm_s + t.softmax_s + t.attn_matmul_s + t.other_s,
               1e-12);
+}
+
+// ---- fast ops and the attention core vs their oracles -----------------
+
+void expect_same_bits(const HalfMatrix& a, const HalfMatrix& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (std::size_t e = 0; e < a.size(); ++e)
+    ASSERT_EQ(a.flat()[e].bits(), b.flat()[e].bits())
+        << what << ": differs at flat index " << e;
+}
+
+void expect_same_bits(const FloatMatrix& a, const FloatMatrix& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (std::size_t e = 0; e < a.size(); ++e)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.flat()[e]),
+              std::bit_cast<std::uint32_t>(b.flat()[e]))
+        << what << ": differs at flat index " << e;
+}
+
+/// Random activations with a sprinkle of the values conversions and
+/// reductions get wrong first: infinities, the largest finite half,
+/// subnormals and signed zeros.
+HalfMatrix hostile_half_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
+  HalfMatrix m = random_half_matrix(rows, cols, rng, 2.0f);
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            65504.0f, 6e-8f, -0.0f, 0.0f};
+  for (std::size_t i = 0; i < m.size(); i += 37)
+    m.flat()[i] = half_t(specials[(i / 37) % std::size(specials)]);
+  return m;
+}
+
+TEST(FastOps, BitIdenticalToReferenceOverRaggedShapes) {
+  Rng rng(71);
+  for (const std::size_t dh : {8u, 64u})
+    for (std::size_t t = 1; t <= 70; ++t) {
+      const std::string at =
+          "dh " + std::to_string(dh) + ", " + std::to_string(t) + " tokens";
+      const HalfMatrix q = random_half_matrix(dh, t, rng);
+      const HalfMatrix k = random_half_matrix(dh, t + 3, rng);
+      const HalfMatrix v = random_half_matrix(dh, t + 3, rng);
+      FloatMatrix scores = attention_scores(q, k, 0.3f);
+      expect_same_bits(scores, attention_scores_reference(q, k, 0.3f),
+                       "scores, " + at);
+      softmax_rows(scores);
+      expect_same_bits(attention_context(scores, v),
+                       attention_context_reference(scores, v),
+                       "context, " + at);
+
+      const HalfMatrix x = hostile_half_matrix(dh, t, rng);
+      const HalfMatrix y = hostile_half_matrix(dh, t, rng);
+      expect_same_bits(gelu(x), gelu_reference(x), "gelu, " + at);
+      expect_same_bits(add(x, y), add_reference(x, y), "add, " + at);
+      std::vector<float> gamma(dh), beta(dh);
+      for (std::size_t f = 0; f < dh; ++f) {
+        gamma[f] = rng.normal();
+        beta[f] = rng.normal();
+      }
+      const HalfMatrix z = random_half_matrix(dh, t, rng, 3.0f);
+      expect_same_bits(layer_norm(z, gamma, beta),
+                       layer_norm_reference(z, gamma, beta),
+                       "layer_norm, " + at);
+      expect_same_bits(layer_norm(x, gamma, beta),
+                       layer_norm_reference(x, gamma, beta),
+                       "layer_norm (non-finite), " + at);
+    }
+}
+
+/// Per (head, sequence, query): the public fast ops composed over that
+/// query's live keys — the definition the core must reproduce bit for bit.
+HalfMatrix compose_public_ops(const HalfMatrix& q, const HalfMatrix& k,
+                              const HalfMatrix& v,
+                              const std::vector<std::size_t>& ends,
+                              std::size_t heads, AttentionMask mask) {
+  const std::size_t dh = q.rows() / heads;
+  const float scale = 1.0f / std::sqrt(float(dh));
+  HalfMatrix out(q.rows(), q.cols()), qh(dh, 1), kh, vh, ctx;
+  FloatMatrix sc;
+  std::size_t s0 = 0;
+  for (const std::size_t s1 : ends) {
+    for (std::size_t h = 0; h < heads; ++h)
+      for (std::size_t i = 0; i < s1 - s0; ++i) {
+        const std::size_t lo =
+            mask.causal && mask.window != 0 && i + 1 > mask.window
+                ? i + 1 - mask.window
+                : 0;
+        const std::size_t hi = mask.causal ? i + 1 : s1 - s0;
+        kh.resize(dh, hi - lo);
+        vh.resize(dh, hi - lo);
+        for (std::size_t d = 0; d < dh; ++d) {
+          qh(d, 0) = q(h * dh + d, s0 + i);
+          for (std::size_t j = lo; j < hi; ++j) {
+            kh(d, j - lo) = k(h * dh + d, s0 + j);
+            vh(d, j - lo) = v(h * dh + d, s0 + j);
+          }
+        }
+        attention_scores_into(qh, kh, scale, sc);
+        softmax_rows(sc);
+        attention_context_into(sc, vh, ctx);
+        for (std::size_t d = 0; d < dh; ++d)
+          out(h * dh + d, s0 + i) = ctx(d, 0);
+      }
+    s0 = s1;
+  }
+  return out;
+}
+
+/// The pre-core formulation: full score matrix per (head, sequence), the
+/// mask written as -1e30, softmax over whole rows, context over all keys.
+HalfMatrix full_matrix_attention(const HalfMatrix& q, const HalfMatrix& k,
+                                 const HalfMatrix& v,
+                                 const std::vector<std::size_t>& ends,
+                                 std::size_t heads, AttentionMask mask) {
+  const std::size_t dh = q.rows() / heads;
+  const float scale = 1.0f / std::sqrt(float(dh));
+  HalfMatrix out(q.rows(), q.cols());
+  std::size_t s0 = 0;
+  for (const std::size_t s1 : ends) {
+    const std::size_t n = s1 - s0;
+    for (std::size_t h = 0; h < heads; ++h) {
+      HalfMatrix qh(dh, n), kh(dh, n), vh(dh, n);
+      for (std::size_t d = 0; d < dh; ++d)
+        for (std::size_t t = 0; t < n; ++t) {
+          qh(d, t) = q(h * dh + d, s0 + t);
+          kh(d, t) = k(h * dh + d, s0 + t);
+          vh(d, t) = v(h * dh + d, s0 + t);
+        }
+      FloatMatrix sc = attention_scores_reference(qh, kh, scale);
+      if (mask.causal)
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < n; ++j)
+            if (j > i || (mask.window != 0 && j + mask.window <= i))
+              sc(i, j) = -1e30f;
+      softmax_rows(sc);
+      const HalfMatrix ctx = attention_context_reference(sc, vh);
+      for (std::size_t d = 0; d < dh; ++d)
+        for (std::size_t t = 0; t < n; ++t)
+          out(h * dh + d, s0 + t) = ctx(d, t);
+    }
+    s0 = s1;
+  }
+  return out;
+}
+
+TEST(AttentionCore, BitIdenticalToPerQueryCompositionForEveryMask) {
+  Rng rng(72);
+  constexpr std::size_t kHidden = 64, kHeads = 4;
+  // Ragged packed sequences, one long enough for several query blocks.
+  const std::vector<std::size_t> ends = {1, 6, 40, 41, 110};
+  const HalfMatrix q = random_half_matrix(kHidden, ends.back(), rng);
+  const HalfMatrix k = random_half_matrix(kHidden, ends.back(), rng);
+  const HalfMatrix v = random_half_matrix(kHidden, ends.back(), rng);
+  for (const AttentionMask mask :
+       {AttentionMask{false, 0}, AttentionMask{true, 0},
+        AttentionMask{true, 16}, AttentionMask{true, 33}}) {
+    const std::string what = std::string(mask.causal ? "causal" : "bidir") +
+                             " window " + std::to_string(mask.window);
+    HalfMatrix core;
+    attention_core({.q = q, .k = k, .v = v, .seq_ends = ends,
+                    .heads = kHeads, .mask = mask},
+                   {.context = &core}, ops::ExecContext::global());
+    expect_same_bits(core, compose_public_ops(q, k, v, ends, kHeads, mask),
+                     what + " vs public ops");
+    expect_same_bits(core, attention_reference(q, k, v, ends, kHeads, mask),
+                     what + " vs attention_reference");
+    expect_same_bits(core, full_matrix_attention(q, k, v, ends, kHeads, mask),
+                     what + " vs the full masked matrix");
+  }
+}
+
+TEST(AttentionCore, OutputIndependentOfThreadCount) {
+  // Long enough to cross kAttentionParallelMacs, so the 4-thread context
+  // really fans the tiles out.
+  Rng rng(73);
+  constexpr std::size_t kHidden = 256, kHeads = 4, kTokens = 300;
+  ASSERT_GE(kTokens * kTokens * kHidden, 2 * kAttentionParallelMacs);
+  const HalfMatrix q = random_half_matrix(kHidden, kTokens, rng);
+  const HalfMatrix k = random_half_matrix(kHidden, kTokens, rng);
+  const HalfMatrix v = random_half_matrix(kHidden, kTokens, rng);
+  const std::vector<std::size_t> ends = {kTokens};
+  ops::ExecContextOptions one_thread, four_threads;
+  one_thread.threads = 1;
+  four_threads.threads = 4;
+  ops::ExecContext one(one_thread), four(four_threads);
+  for (const AttentionMask mask :
+       {AttentionMask{false, 0}, AttentionMask{true, 0},
+        AttentionMask{true, 100}}) {
+    HalfMatrix a, b;
+    std::vector<FloatMatrix> pa, pb;
+    const AttentionCoreArgs args{.q = q, .k = k, .v = v, .seq_ends = ends,
+                                 .heads = kHeads, .mask = mask};
+    attention_core(args, {.context = &a, .probs = &pa}, one);
+    attention_core(args, {.context = &b, .probs = &pb}, four);
+    expect_same_bits(a, b, "context, 1 vs 4 threads");
+    ASSERT_EQ(pa.size(), kHeads);
+    for (std::size_t h = 0; h < kHeads; ++h)
+      expect_same_bits(pa[h], pb[h], "probabilities, 1 vs 4 threads");
+  }
+  // And end to end through a causal encoder's forward.
+  ModelConfig cfg{.name = "long", .layers = 2, .hidden = kHidden,
+                  .heads = kHeads, .ffn_hidden = 512, .seq_len = kTokens,
+                  .causal = true};
+  Rng wrng(74);
+  Encoder enc(cfg, wrng);
+  enc.sparsify({64, 2, 8});
+  expect_same_bits(enc.forward(q, nullptr, &one), enc.forward(q, nullptr, &four),
+                   "encoder forward, 1 vs 4 threads");
+}
+
+TEST(AttentionCore, ProbabilitiesAreTheMaskedSoftmax) {
+  Rng rng(75);
+  const HalfMatrix q = random_half_matrix(16, 9, rng);
+  const HalfMatrix k = random_half_matrix(16, 9, rng);
+  const HalfMatrix v = random_half_matrix(16, 9, rng);
+  const std::vector<std::size_t> ends = {4, 9};
+  std::vector<FloatMatrix> probs;
+  attention_core({.q = q, .k = k, .v = v, .seq_ends = ends, .heads = 2,
+                  .mask = {true, 3}},
+                 {.probs = &probs}, ops::ExecContext::global());
+  ASSERT_EQ(probs.size(), 4u);  // (head, sequence), head-major
+  EXPECT_EQ(probs[1].rows(), 5u);
+  for (const FloatMatrix& p : probs)
+    for (std::size_t i = 0; i < p.rows(); ++i) {
+      float sum = 0.0f;
+      for (std::size_t j = 0; j < p.cols(); ++j) {
+        if (j > i || j + 3 <= i) {
+          EXPECT_EQ(p(i, j), 0.0f);
+        }
+        sum += p(i, j);
+      }
+      EXPECT_NEAR(sum, 1.0f, 1e-5f);
+    }
+}
+
+TEST(AttentionCore, RejectsMalformedCalls) {
+  Rng rng(76);
+  const HalfMatrix x = random_half_matrix(8, 4, rng);
+  const std::vector<std::size_t> ok = {4}, short_ends = {3},
+                                 unordered = {3, 2, 4};
+  HalfMatrix out;
+  auto run = [&](const std::vector<std::size_t>& ends, std::size_t heads) {
+    attention_core({.q = x, .k = x, .v = x, .seq_ends = ends, .heads = heads},
+                   {.context = &out}, ops::ExecContext::global());
+  };
+  EXPECT_NO_THROW(run(ok, 2));
+  EXPECT_THROW(run(ok, 3), Error);
+  EXPECT_THROW(run(short_ends, 2), Error);
+  EXPECT_THROW(run(unordered, 2), Error);
+  std::vector<KvCache*> caches = {nullptr};
+  EXPECT_THROW(attention_core({.q = x, .k = x, .v = x, .seq_ends = ok,
+                               .heads = 2, .caches = caches},
+                              {.context = &out}, ops::ExecContext::global()),
+               Error);  // rings need a causal mask
 }
 
 }  // namespace
