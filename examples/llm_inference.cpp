@@ -4,28 +4,21 @@
 // Builds a 2-layer encoder with BERT-like geometry, runs a dense forward
 // pass, sparsifies every linear weight to V:N:M (rerouting all six GEMMs
 // per layer through Spatha), runs again, and reports:
-//   - measured CPU timing breakdown (GEMMs / softmax / matmul / others),
+//   - the measured CPU wall time of one forward pass of each model,
 //   - output agreement between dense and sparse models,
 //   - the modeled RTX 3090 latency for the real BERT-large at batch 32.
+// The per-layer and per-op breakdown of a forward pass is measured by the
+// benchmark's traced replay:
+//   python3 perfbench/run.py --workload prefill_long --trace 1
 #include <cstdio>
 
 #include "common/rng.hpp"
+#include "common/timing.hpp"
 #include "transformer/encoder.hpp"
 #include "transformer/latency_model.hpp"
 
 using namespace venom;
 using namespace venom::transformer;
-
-namespace {
-
-void print_breakdown(const char* label, const TimingBreakdown& t) {
-  std::printf("%-8s gemm %7.1fms | matmul %6.1fms | softmax %5.1fms | "
-              "other %5.1fms | total %7.1fms\n",
-              label, t.gemm_s * 1e3, t.attn_matmul_s * 1e3,
-              t.softmax_s * 1e3, t.other_s * 1e3, t.total() * 1e3);
-}
-
-}  // namespace
 
 int main() {
   // A scaled-down BERT: 2 layers, hidden 256, 8 heads, seq 64.
@@ -42,15 +35,19 @@ int main() {
   const HalfMatrix x = random_half_matrix(cfg.hidden, cfg.seq_len, data_rng,
                                           0.5f);
 
-  TimingBreakdown t_dense, t_sparse;
-  const HalfMatrix y_dense = dense_model.forward(x, &t_dense);
-  const HalfMatrix y_sparse = sparse_model.forward(x, &t_sparse);
+  HalfMatrix y_dense, y_sparse;
+  const double dense_s =
+      seconds_per_call([&] { y_dense = dense_model.forward(x); });
+  const double sparse_s =
+      seconds_per_call([&] { y_sparse = sparse_model.forward(x); });
 
   std::printf("mini-BERT (%zu layers, hidden %zu, seq %zu), weights 64:2:8\n\n",
               cfg.layers, cfg.hidden, cfg.seq_len);
-  std::printf("Measured CPU forward-pass breakdown:\n");
-  print_breakdown("dense", t_dense);
-  print_breakdown("sparse", t_sparse);
+  std::printf("Measured CPU wall time per forward pass:\n"
+              "  dense  %7.1f ms\n  sparse %7.1f ms  (%.2fx)\n"
+              "Per-layer / per-op breakdown: python3 perfbench/run.py "
+              "--workload prefill_long --trace 1\n",
+              dense_s * 1e3, sparse_s * 1e3, dense_s / sparse_s);
 
   // Output agreement (cosine similarity across all activations).
   double dot = 0.0, n1 = 0.0, n2 = 0.0;

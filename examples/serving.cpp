@@ -44,7 +44,7 @@ int main() {
   ops::ExecContext ctx;
   Rng data_rng(100);
   const HalfMatrix probe = random_half_matrix(model.hidden, 8, data_rng);
-  const HalfMatrix probe_ref = encoder.forward(probe, nullptr, &ctx);
+  const HalfMatrix probe_ref = encoder.forward(probe, &ctx);
   std::printf("reference forward: plan cache %zu misses (one per pruned "
               "weight), %zu hits\n",
               ctx.plan_cache().misses(), ctx.plan_cache().hits());

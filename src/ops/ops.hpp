@@ -12,4 +12,3 @@
 
 #include "ops/context.hpp"
 #include "ops/matmul.hpp"
-#include "ops/timing.hpp"

@@ -204,10 +204,8 @@ void InferenceEngine::process_encode(std::span<PendingRequest> batch,
     }
 
     const auto exec_start = Clock::now();
-    transformer::TimingBreakdown timing;
     const HalfMatrix y = encoder_->forward_batched(
-        ws.staging, std::span<const std::size_t>(seq_ends, count), &timing,
-        &ctx_);
+        ws.staging, std::span<const std::size_t>(seq_ends, count), &ctx_);
     const auto exec_end = Clock::now();
     const double exec_ms =
         std::chrono::duration<double, std::milli>(exec_end - exec_start)
@@ -239,7 +237,7 @@ void InferenceEngine::process_encode(std::span<PendingRequest> batch,
 
     // Stats before delivery: a caller that has awaited its future must
     // already see the request counted.
-    record_batch(batch, total, timing, exec_end, ws);
+    record_batch(batch, total, exec_end, ws);
 
     for (PendingRequest& req : batch) {
       deliver(req, std::move(outs[delivered]));
@@ -301,11 +299,9 @@ void InferenceEngine::process_generation(std::span<PendingRequest> batch,
     }
 
     const auto exec_start = Clock::now();
-    transformer::TimingBreakdown timing;
     const HalfMatrix y = encoder_->forward_cached(
         ws.gen_staging, std::span<const std::size_t>(seq_ends, count),
-        std::span<transformer::KvCache* const>(caches, count), &timing,
-        &ctx_);
+        std::span<transformer::KvCache* const>(caches, count), &ctx_);
     const auto exec_end = Clock::now();
     const double exec_ms =
         std::chrono::duration<double, std::milli>(exec_end - exec_start)
@@ -341,9 +337,12 @@ void InferenceEngine::process_generation(std::span<PendingRequest> batch,
       const auto finish = [&]() {
         Response resp;
         resp.output = HalfMatrix(hidden, s.tokens_generated);
-        for (std::size_t r = 0; r < hidden; ++r)
-          std::memcpy(&resp.output(r, 0), &s.generated(r, 0),
-                      s.tokens_generated * sizeof(half_t));
+        // An eos in the prompt generates nothing: the output then has no
+        // element (r, 0) to take the address of.
+        if (s.tokens_generated > 0)
+          for (std::size_t r = 0; r < hidden; ++r)
+            std::memcpy(&resp.output(r, 0), &s.generated(r, 0),
+                        s.tokens_generated * sizeof(half_t));
         resp.id = item.id;
         resp.replica = item.replica;
         resp.queue_ms = s.queue_ms;
@@ -398,7 +397,6 @@ void InferenceEngine::process_generation(std::span<PendingRequest> batch,
       MutexLock lock(stats_mutex_);
       batches_ += 1;
       tokens_ += total;
-      timing_ += timing;
       prefill_tokens_ += prefill_tokens;
       decode_steps_ += decode_items;
       peak_arena_bytes_ = std::max(peak_arena_bytes_, ws.arena.high_water());
@@ -450,13 +448,11 @@ void InferenceEngine::process_generation(std::span<PendingRequest> batch,
 
 void InferenceEngine::record_batch(
     std::span<const PendingRequest> batch, std::size_t batch_tokens,
-    const transformer::TimingBreakdown& timing, Clock::time_point done,
-    const WorkerState& ws) {
+    Clock::time_point done, const WorkerState& ws) {
   MutexLock lock(stats_mutex_);
   requests_ += batch.size();
   batches_ += 1;
   tokens_ += batch_tokens;
-  timing_ += timing;
   peak_arena_bytes_ = std::max(peak_arena_bytes_, ws.arena.high_water());
   for (const PendingRequest& req : batch) {
     const double ms =
@@ -476,7 +472,6 @@ void InferenceEngine::reset_stats() {
   prefill_tokens_ = 0;
   decode_steps_ = 0;
   peak_arena_bytes_ = 0;
-  timing_ = transformer::TimingBreakdown{};
   latency_next_ = 0;
   latency_count_ = 0;
   decode_next_ = 0;
@@ -494,7 +489,6 @@ ServingStats InferenceEngine::stats() const {
     s.tokens = tokens_;
     s.prefill_tokens = prefill_tokens_;
     s.decode_steps = decode_steps_;
-    s.timing = timing_;
     s.peak_arena_bytes = peak_arena_bytes_;
     s.avg_batch_tokens =
         batches_ == 0 ? 0.0 : double(tokens_) / double(batches_);

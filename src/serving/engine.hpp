@@ -64,7 +64,6 @@ struct ServingStats {
   std::size_t plan_cache_hits = 0;
   std::size_t plan_cache_misses = 0;
   std::size_t peak_arena_bytes = 0;  ///< largest per-batch arena cycle
-  transformer::TimingBreakdown timing;  ///< aggregated over all batches
   // Generation traffic (zero on encode-only workloads).
   std::size_t prefill_tokens = 0;  ///< prompt tokens run through prefill
   std::size_t decode_steps = 0;    ///< single-token decode passes
@@ -126,7 +125,7 @@ class InferenceEngine {
 
   ServingStats stats() const VENOM_EXCLUDES(stats_mutex_);
 
-  /// Zeroes the serving counters, latency window, and timing aggregate —
+  /// Zeroes the serving counters and latency windows —
   /// e.g. after a warmup phase, so percentiles reflect steady state. The
   /// plan cache (and its cumulative hit/miss counters) is deliberately
   /// kept: discarding it would un-warm exactly what warmup warmed.
@@ -172,9 +171,8 @@ class InferenceEngine {
   void process_generation(std::span<PendingRequest> batch, WorkerState& ws)
       VENOM_EXCLUDES(stats_mutex_);
   void record_batch(std::span<const PendingRequest> batch,
-                    std::size_t batch_tokens,
-                    const transformer::TimingBreakdown& timing,
-                    Clock::time_point done, const WorkerState& ws)
+                    std::size_t batch_tokens, Clock::time_point done,
+                    const WorkerState& ws)
       VENOM_EXCLUDES(stats_mutex_);
 
   std::shared_ptr<const transformer::Encoder> encoder_;
@@ -198,7 +196,6 @@ class InferenceEngine {
   std::size_t prefill_tokens_ VENOM_GUARDED_BY(stats_mutex_) = 0;
   std::size_t decode_steps_ VENOM_GUARDED_BY(stats_mutex_) = 0;
   std::size_t peak_arena_bytes_ VENOM_GUARDED_BY(stats_mutex_) = 0;
-  transformer::TimingBreakdown timing_ VENOM_GUARDED_BY(stats_mutex_);
   /// Ring buffer of latency_window samples.
   std::vector<double> latency_ms_ VENOM_GUARDED_BY(stats_mutex_);
   std::size_t latency_next_ VENOM_GUARDED_BY(stats_mutex_) = 0;

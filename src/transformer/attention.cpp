@@ -1,6 +1,6 @@
 #include "transformer/attention.hpp"
 
-#include <chrono>
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -12,11 +12,6 @@
 namespace venom::transformer {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// Copies head h (rows [h*dh, (h+1)*dh)), columns [t0, t1), out of a
 /// (hidden x T) matrix.
@@ -108,134 +103,127 @@ NmMatrix prune_probabilities(const FloatMatrix& p, NmPattern pattern) {
 }  // namespace
 
 HalfMatrix MultiHeadAttention::forward(const HalfMatrix& x,
-                                       TimingBreakdown* timing,
                                        ops::ExecContext* ctx) const {
-  const std::size_t end = x.cols();
-  return forward_batched(x, std::span<const std::size_t>(&end, 1), timing,
-                         ctx);
+  return forward_batched(x, std::array{x.cols()}, ctx);
 }
 
 HalfMatrix MultiHeadAttention::forward_batched(
     const HalfMatrix& x, std::span<const std::size_t> seq_ends,
-    TimingBreakdown* timing, ops::ExecContext* call_ctx) const {
-  VENOM_CHECK(x.rows() == hidden_);
-  VENOM_CHECK_MSG(!seq_ends.empty() && seq_ends.back() == x.cols(),
-                  "sequence ends must cover all " << x.cols() << " tokens");
-  if (x.cols() == 0) {
-    // Zero tokens: attention over nothing is nothing (what the pre-batched
-    // forward() returned for an empty activation).
-    return HalfMatrix(hidden_, 0);
-  }
-  ops::ExecContext& ectx = ops::resolve(call_ctx, ctx_);
-
-  // The projections are token-wise: one SpMM over the whole packed batch
-  // (the weight-stationary reuse serving is after). Every output column
-  // depends only on its own input column, so per-sequence bits match the
-  // unbatched pass.
-  const HalfMatrix q = wq_.forward(x, timing, call_ctx);
-  const HalfMatrix k = wk_.forward(x, timing, call_ctx);
-  const HalfMatrix v = wv_.forward(x, timing, call_ctx);
-  const AttentionCoreArgs args{.q = q, .k = k, .v = v, .seq_ends = seq_ends,
-                               .heads = heads_, .mask = mask()};
-
-  HalfMatrix context;
-  if (!score_pattern_.has_value()) {
-    attention_core(args, {.context = &context, .timing = timing}, ectx);
-    return wo_.forward(context, timing, call_ctx);
-  }
-
-  // Dynamic N:M attention: the core's probabilities are pruned per
-  // (head, sequence) and context^T = P_nm * V^T is dispatched through the
-  // ops layer, which selects the register-blocked N:M fast path
-  // (bit-identical to the spmm_24 baseline).
-  std::vector<FloatMatrix> probs;
-  attention_core(args, {.probs = &probs, .timing = timing}, ectx);
-  const std::size_t dh = hidden_ / heads_;
-  context.resize(hidden_, x.cols());
-  std::size_t pi = 0;
-  for (std::size_t h = 0; h < heads_; ++h) {
-    std::size_t s0 = 0;
-    for (const std::size_t s1 : seq_ends) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const NmMatrix p_nm = prune_probabilities(probs[pi++], *score_pattern_);
-      const HalfMatrix vt = transpose(slice_head(v, h, dh, s0, s1));
-      const FloatMatrix ctx_t =
-          ops::matmul(ops::MatmulArgs::make(p_nm, vt), ectx);
-      for (std::size_t d = 0; d < dh; ++d)
-        for (std::size_t t = s0; t < s1; ++t)
-          context(h * dh + d, t) = half_t(ctx_t(t - s0, d));
-      if (timing != nullptr) timing->attn_matmul_s += seconds_since(t0);
-      s0 = s1;
-    }
-  }
-  return wo_.forward(context, timing, call_ctx);
+    ops::ExecContext* ctx) const {
+  return forward_impl(x, seq_ends, std::nullopt, 0, ctx);
 }
 
 HalfMatrix MultiHeadAttention::forward_cached(
     const HalfMatrix& x, std::span<const std::size_t> seq_ends,
     std::span<KvCache* const> caches, std::size_t layer,
-    TimingBreakdown* timing, ops::ExecContext* call_ctx) const {
-  VENOM_CHECK_MSG(causal_, "forward_cached requires a causal attention "
-                           "block (a KV cache is a decode structure)");
-  VENOM_CHECK_MSG(!score_pattern_.has_value(),
-                  "dynamic N:M attention is incompatible with a KV cache "
-                  "(pruning depends on the whole probability row)");
+    ops::ExecContext* ctx) const {
+  return forward_impl(x, seq_ends, caches, layer, ctx);
+}
+
+HalfMatrix MultiHeadAttention::forward_impl(
+    const HalfMatrix& x, std::span<const std::size_t> seq_ends,
+    std::optional<std::span<KvCache* const>> caches, std::size_t layer,
+    ops::ExecContext* ctx) const {
   VENOM_CHECK(x.rows() == hidden_);
   VENOM_CHECK_MSG(!seq_ends.empty() && seq_ends.back() == x.cols(),
                   "sequence ends must cover all " << x.cols() << " tokens");
-  VENOM_CHECK_MSG(caches.size() == seq_ends.size(),
-                  "one KvCache per sequence: got " << caches.size()
-                                                   << " caches for "
-                                                   << seq_ends.size()
-                                                   << " sequences");
-  // Nothing is appended until the core has returned, so a call rejected
-  // here or by the core's own checks leaves every ring as it was.
-  std::size_t s0 = 0;
-  for (std::size_t s = 0; s < seq_ends.size(); ++s) {
-    VENOM_CHECK_MSG(caches[s] != nullptr, "null KvCache for sequence " << s);
-    const KvCache& cache = *caches[s];
-    VENOM_CHECK_MSG(attn_window_ == 0 || cache.capacity() == attn_window_,
-                    "attention window " << attn_window_
-                                        << " != KvCache capacity "
-                                        << cache.capacity()
-                                        << " (the ring must hold exactly "
-                                           "the window)");
-    VENOM_CHECK_MSG(seq_ends[s] > s0,
-                    "sequence ends must be strictly increasing");
-    VENOM_CHECK_MSG(attn_window_ != 0 ||
-                        cache.layer_length(layer) + (seq_ends[s] - s0) <=
-                            cache.capacity(),
-                    "KV cache overflow at position "
-                        << cache.capacity() << " (capacity "
-                        << cache.capacity()
-                        << "): set an attention window to serve "
-                           "sequences longer than the ring");
-    s0 = seq_ends[s];
+  if (caches.has_value()) {
+    VENOM_CHECK_MSG(causal_, "forward_cached requires a causal attention "
+                             "block (a KV cache is a decode structure)");
+    VENOM_CHECK_MSG(!score_pattern_.has_value(),
+                    "dynamic N:M attention is incompatible with a KV cache "
+                    "(pruning depends on the whole probability row)");
+    VENOM_CHECK_MSG(caches->size() == seq_ends.size(),
+                    "one KvCache per sequence: got " << caches->size()
+                                                     << " caches for "
+                                                     << seq_ends.size()
+                                                     << " sequences");
+    std::size_t s0 = 0;
+    for (std::size_t s = 0; s < seq_ends.size(); ++s) {
+      VENOM_CHECK_MSG((*caches)[s] != nullptr,
+                      "null KvCache for sequence " << s);
+      const KvCache& cache = *(*caches)[s];
+      VENOM_CHECK_MSG(attn_window_ == 0 || cache.capacity() == attn_window_,
+                      "attention window " << attn_window_
+                                          << " != KvCache capacity "
+                                          << cache.capacity()
+                                          << " (the ring must hold exactly "
+                                             "the window)");
+      VENOM_CHECK_MSG(seq_ends[s] > s0,
+                      "sequence ends must be strictly increasing");
+      VENOM_CHECK_MSG(attn_window_ != 0 ||
+                          cache.layer_length(layer) + (seq_ends[s] - s0) <=
+                              cache.capacity(),
+                      "KV cache overflow at position "
+                          << cache.capacity() << " (capacity "
+                          << cache.capacity()
+                          << "): set an attention window to serve "
+                             "sequences longer than the ring");
+      s0 = seq_ends[s];
+    }
+  } else if (x.cols() == 0) {
+    // Zero tokens: attention over nothing is nothing. (A cached call has
+    // already been rejected above: a chunk is at least one token.)
+    return HalfMatrix(hidden_, 0);
   }
+  ops::ExecContext& ectx = ops::resolve(ctx);
 
-  // Projections over the whole packed batch — the same single SpMM per
-  // weight as forward_batched, and the columns land bit-identically
-  // because Linear's outputs are column-independent.
-  const HalfMatrix q = wq_.forward(x, timing, call_ctx);
-  const HalfMatrix k = wk_.forward(x, timing, call_ctx);
-  const HalfMatrix v = wv_.forward(x, timing, call_ctx);
+  // The projections are token-wise: one SpMM over the whole packed batch
+  // (the weight-stationary reuse serving is after). Every output column
+  // depends only on its own input column, so per-sequence bits match the
+  // unbatched pass.
+  const HalfMatrix q = wq_.forward(x, ctx);
+  const HalfMatrix k = wk_.forward(x, ctx);
+  const HalfMatrix v = wv_.forward(x, ctx);
+  // With rings, each query attends to its ring's resident window followed
+  // by its own chunk's columns up to itself: exactly the sliding-window
+  // causal mask of the full forward.
+  const AttentionCoreArgs args{
+      .q = q, .k = k, .v = v, .seq_ends = seq_ends, .heads = heads_,
+      .mask = mask(), .caches = caches.value_or(std::span<KvCache* const>{}),
+      .layer = layer};
 
-  // Each query attends to its ring's resident window followed by its own
-  // chunk's columns up to itself: exactly the sliding-window causal mask
-  // of the full forward. Only then does the chunk enter the ring.
   HalfMatrix context;
-  attention_core({.q = q, .k = k, .v = v, .seq_ends = seq_ends,
-                  .heads = heads_, .mask = mask(), .caches = caches,
-                  .layer = layer},
-                 {.context = &context, .timing = timing},
-                 ops::resolve(call_ctx, ctx_));
-  s0 = 0;
-  for (std::size_t s = 0; s < seq_ends.size(); ++s) {
-    for (std::size_t t = s0; t < seq_ends[s]; ++t)
-      caches[s]->append(layer, k, v, t);
-    s0 = seq_ends[s];
+  if (!score_pattern_.has_value()) {
+    attention_core(args, {.context = &context}, ectx);
+  } else {
+    // Dynamic N:M attention: the core's probabilities are pruned per
+    // (head, sequence) and context^T = P_nm * V^T is dispatched through
+    // the ops layer, which selects the register-blocked N:M fast path
+    // (bit-identical to the spmm_24 baseline).
+    std::vector<FloatMatrix> probs;
+    attention_core(args, {.probs = &probs}, ectx);
+    const std::size_t dh = hidden_ / heads_;
+    context.resize(hidden_, x.cols());
+    std::size_t pi = 0;
+    for (std::size_t h = 0; h < heads_; ++h) {
+      std::size_t s0 = 0;
+      for (const std::size_t s1 : seq_ends) {
+        const NmMatrix p_nm =
+            prune_probabilities(probs[pi++], *score_pattern_);
+        const HalfMatrix vt = transpose(slice_head(v, h, dh, s0, s1));
+        const FloatMatrix ctx_t =
+            ops::matmul(ops::MatmulArgs::make(p_nm, vt), ectx);
+        for (std::size_t d = 0; d < dh; ++d)
+          for (std::size_t t = s0; t < s1; ++t)
+            context(h * dh + d, t) = half_t(ctx_t(t - s0, d));
+        s0 = s1;
+      }
+    }
   }
-  return wo_.forward(context, timing, call_ctx);
+
+  // Only now does each chunk enter its ring: appending before the core
+  // ran would overwrite keys the chunk's early queries still see once
+  // the ring is full.
+  if (caches.has_value()) {
+    std::size_t s0 = 0;
+    for (std::size_t s = 0; s < seq_ends.size(); ++s) {
+      for (std::size_t t = s0; t < seq_ends[s]; ++t)
+        (*caches)[s]->append(layer, k, v, t);
+      s0 = seq_ends[s];
+    }
+  }
+  return wo_.forward(context, ctx);
 }
 
 FloatMatrix MultiHeadAttention::backward(const HalfMatrix& x,
@@ -273,7 +261,7 @@ FloatMatrix MultiHeadAttention::backward_batched(
   attention_core({.q = q, .k = k, .v = v, .seq_ends = seq_ends,
                   .heads = heads_, .mask = mask()},
                  {.context = &context, .probs = &probs},
-                 ops::resolve(nullptr, ctx_));
+                 ops::ExecContext::global());
 
   // Output projection backward: grad_context flows into the per-head
   // attention backward below.

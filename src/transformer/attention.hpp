@@ -47,16 +47,6 @@ class MultiHeadAttention {
   /// Sparsifies all four projection weights to V:N:M.
   void sparsify(VnmConfig cfg);
 
-  /// Attaches a shared execution context to all four projections and to
-  /// the dynamic-attention SpMM dispatch (see Linear::set_exec_context).
-  void set_exec_context(ops::ExecContext* ctx) {
-    ctx_ = ctx;
-    wq_.set_exec_context(ctx);
-    wk_.set_exec_context(ctx);
-    wv_.set_exec_context(ctx);
-    wo_.set_exec_context(ctx);
-  }
-
   /// Switches all four projection weights to the given storage precision
   /// (see Linear::set_weight_dtype; requires sparsified projections for
   /// the reduced dtypes).
@@ -85,7 +75,8 @@ class MultiHeadAttention {
   void set_attention_window(std::size_t w) { attn_window_ = w; }
   std::size_t attention_window() const { return attn_window_; }
 
-  HalfMatrix forward(const HalfMatrix& x, TimingBreakdown* timing = nullptr,
+  /// forward_batched over one sequence of x.cols() tokens.
+  HalfMatrix forward(const HalfMatrix& x,
                      ops::ExecContext* ctx = nullptr) const;
 
   /// Incremental forward against per-sequence KV rings: projects the
@@ -104,18 +95,17 @@ class MultiHeadAttention {
                             std::span<const std::size_t> seq_ends,
                             std::span<KvCache* const> caches,
                             std::size_t layer,
-                            TimingBreakdown* timing = nullptr,
                             ops::ExecContext* ctx = nullptr) const;
 
   /// Batched forward over independent sequences packed along the token
   /// axis. `seq_ends` holds the exclusive end column of each sequence in
   /// ascending order; the last entry must equal x.cols() (so {T} is
   /// exactly forward()). Attention is masked to each [start, end) span.
-  /// `ctx` overrides the attached context for this call (ops::resolve),
-  /// so a const-shared attention block can serve replica-private contexts.
+  /// Every forward dispatches through `ctx` (nullptr =
+  /// ops::ExecContext::global()), so a const-shared attention block can
+  /// serve replica-private contexts.
   HalfMatrix forward_batched(const HalfMatrix& x,
                              std::span<const std::size_t> seq_ends,
-                             TimingBreakdown* timing = nullptr,
                              ops::ExecContext* ctx = nullptr) const;
 
   /// Backward pass: recomputes the forward intermediates (activation
@@ -144,6 +134,18 @@ class MultiHeadAttention {
   Linear& wo() { return wo_; }
 
  private:
+  friend class EncoderLayer;
+
+  /// The one forward body behind forward, forward_batched and
+  /// forward_cached: nullopt `caches` is the full forward, otherwise one
+  /// KV ring per sequence at stack index `layer`. Every check runs
+  /// before the first ring append, so a rejected call leaves the rings
+  /// as they were.
+  HalfMatrix forward_impl(const HalfMatrix& x,
+                          std::span<const std::size_t> seq_ends,
+                          std::optional<std::span<KvCache* const>> caches,
+                          std::size_t layer, ops::ExecContext* ctx) const;
+
   AttentionMask mask() const {
     return {.causal = causal_, .window = causal_ ? attn_window_ : 0};
   }
@@ -153,7 +155,6 @@ class MultiHeadAttention {
   bool causal_ = false;
   std::size_t attn_window_ = 0;  // 0 = unbounded causal mask
   std::optional<NmPattern> score_pattern_;
-  ops::ExecContext* ctx_ = nullptr;  // not owned; nullptr = global()
   Linear wq_, wk_, wv_, wo_;
 };
 

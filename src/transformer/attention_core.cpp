@@ -1,7 +1,6 @@
 #include "transformer/attention_core.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -12,12 +11,6 @@
 namespace venom::transformer {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// One sequence as the core sees it: its columns [s0, s0 + n) of the
 /// projections, preceded by `base` positions resident in a ring of
@@ -44,10 +37,6 @@ struct CoreCall {
   std::size_t hi(const SeqView& sv, std::size_t p) const {
     return args.mask.causal ? p + 1 : sv.base + sv.n;
   }
-};
-
-struct TileTimes {
-  double matmul = 0, softmax = 0;
 };
 
 /// Key panel row: converts positions [a, b) of K's hidden row r to fp32.
@@ -89,8 +78,7 @@ void load_values(const SeqView& sv, const HalfMatrix& v, std::size_t row0,
 /// panel for the scores, then the transposed value panel for the context
 /// — and every query runs only over its live keys in each tile.
 void run_tile(const CoreCall& c, const SeqView& sv, std::size_t h,
-              std::size_t i0, std::size_t i1, ops::AttentionScratch& s,
-              TileTimes* times) {
+              std::size_t i0, std::size_t i1, ops::AttentionScratch& s) {
   const AttentionCoreArgs& a = c.args;
   const std::size_t dh = c.dh, nq = i1 - i0, row0 = h * dh;
   const std::size_t klo = c.lo(sv.base + i0);
@@ -105,8 +93,6 @@ void run_tile(const CoreCall& c, const SeqView& sv, std::size_t h,
     const std::size_t p = sv.base + i0 + i, lo = c.lo(p);
     return Live{lo, std::max(lo, k0), std::min(c.hi(sv, p), k1)};
   };
-  Clock::time_point t0;
-  if (times != nullptr) t0 = Clock::now();
 
   s.qf.resize(dh * nq);
   s.kf.resize(dh * kAttentionKeyTile);
@@ -127,10 +113,6 @@ void run_tile(const CoreCall& c, const SeqView& sv, std::size_t h,
                         s.scores.data() + i * nk + (l.a - l.lo));
     }
   }
-  if (times != nullptr) {
-    times->matmul += seconds_since(t0);
-    t0 = Clock::now();
-  }
 
   for (std::size_t i = 0; i < nq; ++i) {
     const Live l = live(i, klo, khi);
@@ -142,10 +124,6 @@ void run_tile(const CoreCall& c, const SeqView& sv, std::size_t h,
       const Live l = live(i, klo, khi);
       std::copy_n(s.scores.data() + i * nk, l.b - l.lo, &pm(i0 + i, l.lo));
     }
-  }
-  if (times != nullptr) {
-    times->softmax += seconds_since(t0);
-    t0 = Clock::now();
   }
 
   if (c.out.context == nullptr) return;
@@ -166,13 +144,6 @@ void run_tile(const CoreCall& c, const SeqView& sv, std::size_t h,
   for (std::size_t i = 0; i < nq; ++i)
     for (std::size_t d = 0; d < dh; ++d)
       context(row0 + d, sv.s0 + i0 + i) = half_t(s.acc[i * dh + d]);
-  if (times != nullptr) times->matmul += seconds_since(t0);
-}
-
-void add_times(ops::TimingBreakdown* timing, const TileTimes& t) {
-  if (timing == nullptr) return;
-  timing->attn_matmul_s += t.matmul;
-  timing->softmax_s += t.softmax;
 }
 
 void check_sequences(std::span<const std::size_t> seq_ends, std::size_t t) {
@@ -257,13 +228,12 @@ void attention_core(const AttentionCoreArgs& a,
     const std::size_t blocks =
         (sv.n + kAttentionQueryBlock - 1) / kAttentionQueryBlock;
     const std::size_t tiles = a.heads * blocks;
-    const auto tile = [&](std::size_t t, ops::AttentionScratch& s,
-                          TileTimes* times) {
+    const auto tile = [&](std::size_t t, ops::AttentionScratch& s) {
       // Heaviest block first: under a causal mask later queries see more
       // keys, and the pool hands tiles out in index order.
       const std::size_t h = t / blocks, b = blocks - 1 - t % blocks;
       run_tile(c, sv, h, b * kAttentionQueryBlock,
-               std::min(sv.n, (b + 1) * kAttentionQueryBlock), s, times);
+               std::min(sv.n, (b + 1) * kAttentionQueryBlock), s);
     };
     // Every live (query, key) pair costs dh multiply-adds in the scores
     // and dh in the context, per head.
@@ -274,22 +244,16 @@ void attention_core(const AttentionCoreArgs& a,
 
     ThreadPool& pool = ctx.pool();
     if (macs >= kAttentionParallelMacs && pool.size() > 1 && tiles > 1) {
-      std::vector<TileTimes> times(out.timing != nullptr ? tiles : 0);
       pool.parallel_for_chunks(
           tiles,
           [&](std::size_t begin, std::size_t end) {
             auto scratch = ctx.attention_scratch().acquire();
-            for (std::size_t t = begin; t < end; ++t)
-              tile(t, *scratch, times.empty() ? nullptr : &times[t]);
+            for (std::size_t t = begin; t < end; ++t) tile(t, *scratch);
           },
           1);
-      for (const TileTimes& t : times) add_times(out.timing, t);
     } else {
       auto scratch = ctx.attention_scratch().acquire();
-      TileTimes times;
-      for (std::size_t t = 0; t < tiles; ++t)
-        tile(t, *scratch, out.timing != nullptr ? &times : nullptr);
-      add_times(out.timing, times);
+      for (std::size_t t = 0; t < tiles; ++t) tile(t, *scratch);
     }
   }
 }

@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "ops/context.hpp"
-#include "ops/timing.hpp"
 #include "tensor/matrix.hpp"
 
 namespace venom::transformer {
@@ -88,9 +87,6 @@ struct AttentionCoreOutputs {
   /// Probability matrices, one (n x n) per (head, sequence), head-major,
   /// masked entries zero. Only without KV rings.
   std::vector<FloatMatrix>* probs = nullptr;
-  /// Adds the score and context stages to attn_matmul_s and the softmax
-  /// to softmax_s (summed over workers when the tiles run in parallel).
-  ops::TimingBreakdown* timing = nullptr;
 };
 
 void attention_core(const AttentionCoreArgs& args,

@@ -1,17 +1,12 @@
 #include "transformer/encoder.hpp"
 
-#include <chrono>
+#include <array>
 
 #include "transformer/ops.hpp"
 
 namespace venom::transformer {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 std::vector<float> ones(std::size_t n) { return std::vector<float>(n, 1.0f); }
 std::vector<float> zeros(std::size_t n) { return std::vector<float>(n, 0.0f); }
@@ -35,62 +30,33 @@ void EncoderLayer::sparsify(VnmConfig cfg) {
 }
 
 HalfMatrix EncoderLayer::forward(const HalfMatrix& x,
-                                 TimingBreakdown* timing,
                                  ops::ExecContext* ctx) const {
-  const std::size_t end = x.cols();
-  return forward_batched(x, std::span<const std::size_t>(&end, 1), timing,
-                         ctx);
+  return forward_batched(x, std::array{x.cols()}, ctx);
 }
 
 HalfMatrix EncoderLayer::forward_batched(const HalfMatrix& x,
                                          std::span<const std::size_t> seq_ends,
-                                         TimingBreakdown* timing,
                                          ops::ExecContext* ctx) const {
-  const HalfMatrix attn = mha_.forward_batched(x, seq_ends, timing, ctx);
-
-  auto t0 = std::chrono::steady_clock::now();
-  HalfMatrix h = layer_norm(add(x, attn), ln1_gamma_, ln1_beta_);
-  if (timing != nullptr) timing->other_s += seconds_since(t0);
-
-  const HalfMatrix ff1 = ffn_in_.forward(h, timing, ctx);
-
-  t0 = std::chrono::steady_clock::now();
-  const HalfMatrix act = gelu(ff1);
-  if (timing != nullptr) timing->other_s += seconds_since(t0);
-
-  const HalfMatrix ff2 = ffn_out_.forward(act, timing, ctx);
-
-  t0 = std::chrono::steady_clock::now();
-  HalfMatrix out = layer_norm(add(h, ff2), ln2_gamma_, ln2_beta_);
-  if (timing != nullptr) timing->other_s += seconds_since(t0);
-  return out;
+  return forward_impl(x, seq_ends, std::nullopt, 0, ctx);
 }
 
 HalfMatrix EncoderLayer::forward_cached(const HalfMatrix& x,
                                         std::span<const std::size_t> seq_ends,
                                         std::span<KvCache* const> caches,
                                         std::size_t layer,
-                                        TimingBreakdown* timing,
                                         ops::ExecContext* ctx) const {
-  const HalfMatrix attn =
-      mha_.forward_cached(x, seq_ends, caches, layer, timing, ctx);
+  return forward_impl(x, seq_ends, caches, layer, ctx);
+}
 
-  auto t0 = std::chrono::steady_clock::now();
-  HalfMatrix h = layer_norm(add(x, attn), ln1_gamma_, ln1_beta_);
-  if (timing != nullptr) timing->other_s += seconds_since(t0);
-
-  const HalfMatrix ff1 = ffn_in_.forward(h, timing, ctx);
-
-  t0 = std::chrono::steady_clock::now();
-  const HalfMatrix act = gelu(ff1);
-  if (timing != nullptr) timing->other_s += seconds_since(t0);
-
-  const HalfMatrix ff2 = ffn_out_.forward(act, timing, ctx);
-
-  t0 = std::chrono::steady_clock::now();
-  HalfMatrix out = layer_norm(add(h, ff2), ln2_gamma_, ln2_beta_);
-  if (timing != nullptr) timing->other_s += seconds_since(t0);
-  return out;
+HalfMatrix EncoderLayer::forward_impl(
+    const HalfMatrix& x, std::span<const std::size_t> seq_ends,
+    std::optional<std::span<KvCache* const>> caches, std::size_t layer,
+    ops::ExecContext* ctx) const {
+  const HalfMatrix attn = mha_.forward_impl(x, seq_ends, caches, layer, ctx);
+  const HalfMatrix h = layer_norm(add(x, attn), ln1_gamma_, ln1_beta_);
+  const HalfMatrix ff1 = ffn_in_.forward(h, ctx);
+  const HalfMatrix ff2 = ffn_out_.forward(gelu(ff1), ctx);
+  return layer_norm(add(h, ff2), ln2_gamma_, ln2_beta_);
 }
 
 FloatMatrix EncoderLayer::backward(const HalfMatrix& x,
@@ -162,57 +128,55 @@ void Encoder::sparsify(VnmConfig cfg) {
   for (auto& layer : layers_) layer.sparsify(cfg);
 }
 
-HalfMatrix Encoder::forward(const HalfMatrix& x, TimingBreakdown* timing,
+HalfMatrix Encoder::forward(const HalfMatrix& x,
                             ops::ExecContext* ctx) const {
-  HalfMatrix h = x;
-  for (const auto& layer : layers_) h = layer.forward(h, timing, ctx);
-  return h;
+  return forward_batched(x, std::array{x.cols()}, ctx);
 }
 
 HalfMatrix Encoder::forward_batched(const HalfMatrix& x,
                                     std::span<const std::size_t> seq_ends,
-                                    TimingBreakdown* timing,
                                     ops::ExecContext* ctx) const {
-  HalfMatrix h = x;
-  for (const auto& layer : layers_)
-    h = layer.forward_batched(h, seq_ends, timing, ctx);
-  return h;
+  return forward_impl(x, seq_ends, std::nullopt, ctx);
 }
 
 HalfMatrix Encoder::forward_cached(const HalfMatrix& x,
                                    std::span<const std::size_t> seq_ends,
                                    std::span<KvCache* const> caches,
-                                   TimingBreakdown* timing,
                                    ops::ExecContext* ctx) const {
-  for (const KvCache* cache : caches) {
-    VENOM_CHECK_MSG(cache != nullptr && cache->layers() == layer_count(),
-                    "each KvCache must hold one ring pair per encoder "
-                    "layer (" << layer_count() << ")");
-    VENOM_CHECK_MSG(cache->synchronized(),
-                    "KvCache layers out of sync (a previous forward_cached "
-                    "failed mid-stack; reset() the cache)");
-  }
-  HalfMatrix h = x;
-  for (std::size_t l = 0; l < layers_.size(); ++l)
-    h = layers_[l].forward_cached(h, seq_ends, caches, l, timing, ctx);
-  return h;
+  return forward_impl(x, seq_ends, caches, ctx);
 }
 
 HalfMatrix Encoder::prefill(const HalfMatrix& prompt, KvCache& cache,
-                            TimingBreakdown* timing,
                             ops::ExecContext* ctx) const {
-  const std::size_t end = prompt.cols();
-  KvCache* caches[] = {&cache};
-  return forward_cached(prompt, std::span<const std::size_t>(&end, 1),
-                        std::span<KvCache* const>(caches, 1), timing, ctx);
+  return forward_cached(prompt, std::array{prompt.cols()},
+                        std::array{&cache}, ctx);
 }
 
 HalfMatrix Encoder::decode_step(const HalfMatrix& x, KvCache& cache,
-                                TimingBreakdown* timing,
                                 ops::ExecContext* ctx) const {
   VENOM_CHECK_MSG(x.cols() == 1,
                   "decode_step takes one token, got " << x.cols());
-  return prefill(x, cache, timing, ctx);
+  return prefill(x, cache, ctx);
+}
+
+HalfMatrix Encoder::forward_impl(
+    const HalfMatrix& x, std::span<const std::size_t> seq_ends,
+    std::optional<std::span<KvCache* const>> caches,
+    ops::ExecContext* ctx) const {
+  if (caches.has_value()) {
+    for (const KvCache* cache : *caches) {
+      VENOM_CHECK_MSG(cache != nullptr && cache->layers() == layer_count(),
+                      "each KvCache must hold one ring pair per encoder "
+                      "layer (" << layer_count() << ")");
+      VENOM_CHECK_MSG(cache->synchronized(),
+                      "KvCache layers out of sync (a previous "
+                      "forward_cached failed mid-stack; reset() the cache)");
+    }
+  }
+  HalfMatrix h = x;
+  for (std::size_t l = 0; l < layers_.size(); ++l)
+    h = layers_[l].forward_impl(h, seq_ends, caches, l, ctx);
+  return h;
 }
 
 FloatMatrix Encoder::backward(const HalfMatrix& x, const FloatMatrix& grad_out,

@@ -5,6 +5,8 @@
 // V:N:M, which reroutes their GEMMs through Spatha (Fig. 14).
 #pragma once
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "transformer/attention.hpp"
@@ -34,14 +36,6 @@ class EncoderLayer {
     mha_.set_dynamic_score_sparsity(pattern);
   }
 
-  /// Attaches a shared execution context to all six linear layers and
-  /// the attention dispatch (see Linear::set_exec_context).
-  void set_exec_context(ops::ExecContext* ctx) {
-    mha_.set_exec_context(ctx);
-    ffn_in_.set_exec_context(ctx);
-    ffn_out_.set_exec_context(ctx);
-  }
-
   /// Switches all six linear weights to the given storage precision (see
   /// Linear::set_weight_dtype).
   void set_weight_dtype(ops::Dtype dtype) {
@@ -55,16 +49,16 @@ class EncoderLayer {
   void set_attention_window(std::size_t w) { mha_.set_attention_window(w); }
   std::size_t attention_window() const { return mha_.attention_window(); }
 
-  HalfMatrix forward(const HalfMatrix& x, TimingBreakdown* timing = nullptr,
+  /// forward_batched over one sequence of x.cols() tokens.
+  HalfMatrix forward(const HalfMatrix& x,
                      ops::ExecContext* ctx = nullptr) const;
 
   /// Batched forward over sequences packed along the token axis (see
   /// MultiHeadAttention::forward_batched). LayerNorm / FFN / residuals
-  /// are token-wise, so only attention needs the boundaries. `ctx`
-  /// overrides the attached context for this call (ops::resolve).
+  /// are token-wise, so only attention needs the boundaries. Dispatches
+  /// through `ctx` (nullptr = ops::ExecContext::global()).
   HalfMatrix forward_batched(const HalfMatrix& x,
                              std::span<const std::size_t> seq_ends,
-                             TimingBreakdown* timing = nullptr,
                              ops::ExecContext* ctx = nullptr) const;
 
   /// Incremental forward against per-sequence KV rings at stack index
@@ -75,7 +69,6 @@ class EncoderLayer {
                             std::span<const std::size_t> seq_ends,
                             std::span<KvCache* const> caches,
                             std::size_t layer,
-                            TimingBreakdown* timing = nullptr,
                             ops::ExecContext* ctx = nullptr) const;
 
   /// Backward pass given the layer's forward input and upstream dL/dout.
@@ -101,6 +94,15 @@ class EncoderLayer {
   const Linear& ffn_out() const { return ffn_out_; }
 
  private:
+  friend class Encoder;
+
+  /// The one layer body behind forward, forward_batched and
+  /// forward_cached (see MultiHeadAttention::forward_impl).
+  HalfMatrix forward_impl(const HalfMatrix& x,
+                          std::span<const std::size_t> seq_ends,
+                          std::optional<std::span<KvCache* const>> caches,
+                          std::size_t layer, ops::ExecContext* ctx) const;
+
   std::size_t hidden_ = 0;
   MultiHeadAttention mha_;
   Linear ffn_in_, ffn_out_;
@@ -120,29 +122,25 @@ class Encoder {
     for (auto& layer : layers_) layer.set_dynamic_score_sparsity(pattern);
   }
 
-  /// Attaches a shared execution context to every layer in the stack.
-  void set_exec_context(ops::ExecContext* ctx) {
-    for (auto& layer : layers_) layer.set_exec_context(ctx);
-  }
-
   /// Runs the whole stack at the given weight precision (quantizes every
   /// sparsified linear layer's weight; see Linear::set_weight_dtype).
   void set_weight_dtype(ops::Dtype dtype) {
     for (auto& layer : layers_) layer.set_weight_dtype(dtype);
   }
 
-  HalfMatrix forward(const HalfMatrix& x, TimingBreakdown* timing = nullptr,
+  /// forward_batched over one sequence of x.cols() tokens.
+  HalfMatrix forward(const HalfMatrix& x,
                      ops::ExecContext* ctx = nullptr) const;
 
   /// Batched forward: every layer runs the packed batch with attention
   /// confined to each sequence's span. Per-sequence outputs are
-  /// bit-identical to forward() on that sequence alone. `ctx` overrides
-  /// the attached context for this call only — a const Encoder shared
-  /// (shared_ptr-held) by N serving replicas stays immutable while each
-  /// replica dispatches through its private ExecContext.
+  /// bit-identical to forward() on that sequence alone. Every forward
+  /// dispatches through `ctx` (nullptr = ops::ExecContext::global()) —
+  /// a const Encoder shared (shared_ptr-held) by N serving replicas
+  /// stays immutable while each replica dispatches through its private
+  /// ExecContext.
   HalfMatrix forward_batched(const HalfMatrix& x,
                              std::span<const std::size_t> seq_ends,
-                             TimingBreakdown* timing = nullptr,
                              ops::ExecContext* ctx = nullptr) const;
 
   /// A cache sized for this stack: layer_count() layers of
@@ -169,21 +167,18 @@ class Encoder {
   HalfMatrix forward_cached(const HalfMatrix& x,
                             std::span<const std::size_t> seq_ends,
                             std::span<KvCache* const> caches,
-                            TimingBreakdown* timing = nullptr,
                             ops::ExecContext* ctx = nullptr) const;
 
   /// Fills `cache` from a prompt and returns the stack's output for
   /// every prompt position (single-sequence convenience over
   /// forward_cached).
   HalfMatrix prefill(const HalfMatrix& prompt, KvCache& cache,
-                     TimingBreakdown* timing = nullptr,
                      ops::ExecContext* ctx = nullptr) const;
 
   /// One autoregressive step: x is the newest token's (hidden x 1)
   /// activation; returns its (hidden x 1) output, attending against the
   /// cached history.
   HalfMatrix decode_step(const HalfMatrix& x, KvCache& cache,
-                         TimingBreakdown* timing = nullptr,
                          ops::ExecContext* ctx = nullptr) const;
 
   /// Backward through the whole stack: re-runs the forward to recover
@@ -202,6 +197,13 @@ class Encoder {
   const ModelConfig& config() const { return cfg_; }
 
  private:
+  /// The one layer loop behind every forward entry point: nullopt
+  /// `caches` is the full forward.
+  HalfMatrix forward_impl(const HalfMatrix& x,
+                          std::span<const std::size_t> seq_ends,
+                          std::optional<std::span<KvCache* const>> caches,
+                          ops::ExecContext* ctx) const;
+
   ModelConfig cfg_;
   std::vector<EncoderLayer> layers_;
 };

@@ -1,6 +1,5 @@
 #include "transformer/linear.hpp"
 
-#include <chrono>
 #include <cmath>
 
 #include "baselines/gemm.hpp"
@@ -11,15 +10,6 @@
 #include "transformer/ops.hpp"
 
 namespace venom::transformer {
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 Linear::Linear(HalfMatrix weight, std::vector<float> bias)
     : out_(weight.rows()), in_(weight.cols()), weight_(std::move(weight)),
@@ -73,11 +63,10 @@ void Linear::requantize() {
   }
 }
 
-HalfMatrix Linear::forward(const HalfMatrix& x, TimingBreakdown* timing,
+HalfMatrix Linear::forward(const HalfMatrix& x,
                            ops::ExecContext* ctx_override) const {
   VENOM_CHECK_MSG(x.rows() == in_, "Linear expects " << in_ << " features, got "
                                                      << x.rows());
-  const auto t0 = std::chrono::steady_clock::now();
   ops::ExecContext& ctx = ops::resolve(ctx_override, ctx_);
   const bool have_ctx = ctx_override != nullptr || ctx_ != nullptr;
   // Bias fused into the write-back stage of whichever backend dispatch
@@ -104,9 +93,7 @@ HalfMatrix Linear::forward(const HalfMatrix& x, TimingBreakdown* timing,
   } else {
     args = ops::MatmulArgs::make(weight_, x);
   }
-  HalfMatrix y = ops::matmul_fused(args, epilogue, ctx);
-  if (timing != nullptr) timing->gemm_s += seconds_since(t0);
-  return y;
+  return ops::matmul_fused(args, epilogue, ctx);
 }
 
 Linear::Grads Linear::backward(const HalfMatrix& x,

@@ -16,7 +16,6 @@
 
 #include "format/vnm.hpp"
 #include "ops/matmul.hpp"
-#include "ops/timing.hpp"
 #include "quant/quantized_vnm.hpp"
 #include "tensor/matrix.hpp"
 
@@ -25,10 +24,6 @@ class ExecContext;
 }
 
 namespace venom::transformer {
-
-/// Compatibility alias: the timing sink moved to the ops layer (it is a
-/// cross-layer concern attention and serving fill too).
-using TimingBreakdown = ops::TimingBreakdown;
 
 /// y(out x tokens) = W(out x in) * x(in x tokens) + bias.
 class Linear {
@@ -45,13 +40,14 @@ class Linear {
   /// divide.
   void sparsify(VnmConfig cfg);
 
-  /// Routes forwards through `ctx` — its thread pool, plan cache (kernel
-  /// configs selected once per shape x weight, packed-panel scratch kept
-  /// warm across calls), and tuning cache. nullptr (the default) uses
+  /// Routes forwards without a per-call context, and backward(), through
+  /// `ctx` — its thread pool, plan cache (kernel configs selected once
+  /// per shape x weight, packed-panel scratch kept warm across calls),
+  /// and tuning cache. nullptr (the default) uses
   /// ops::ExecContext::global(). The context must outlive the layer's
-  /// forwards; it may be shared across threads (its caches are
-  /// thread-safe) — the serving engine attaches its own context to every
-  /// layer of the encoder it owns.
+  /// passes; it may be shared across threads (its caches are
+  /// thread-safe). The layers above Linear take their context per call
+  /// only.
   void set_exec_context(ops::ExecContext* ctx) { ctx_ = ctx; }
   ops::ExecContext* exec_context() const { return ctx_; }
 
@@ -80,11 +76,11 @@ class Linear {
   const VnmMatrix& sparse_weight() const { return *sparse_; }
   std::span<const float> bias() const { return bias_; }
 
-  /// Forward pass; if `timing` is non-null, the GEMM time is added.
-  /// `ctx` overrides the attached context for this call only (see
-  /// ops::resolve) — the replicated-serving path, where N engines share
-  /// one const encoder but dispatch through private contexts.
-  HalfMatrix forward(const HalfMatrix& x, TimingBreakdown* timing = nullptr,
+  /// Forward pass. `ctx` overrides the attached context for this call
+  /// only (see ops::resolve) — the replicated-serving path, where N
+  /// engines share one const encoder but dispatch through private
+  /// contexts.
+  HalfMatrix forward(const HalfMatrix& x,
                      ops::ExecContext* ctx = nullptr) const;
 
   /// Gradients of a linear layer (the sparse-training path of §9a). For

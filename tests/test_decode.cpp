@@ -12,6 +12,8 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -360,8 +362,8 @@ TEST(CachedDecode, BitIdenticalUnderBothColumnLocModes) {
     // so reusing one would leak the previous mode's plans.
     ops::ExecContext ctx;
     KvCache cache = enc.make_cache(kMaxCols);
-    const HalfMatrix pre = enc.prefill(prompt, cache, nullptr, &ctx);
-    expect_bits_eq(pre, enc.forward(prompt, nullptr, &ctx), "mode prefill");
+    const HalfMatrix pre = enc.prefill(prompt, cache, &ctx);
+    expect_bits_eq(pre, enc.forward(prompt, &ctx), "mode prefill");
 
     HalfMatrix seq(32, kMaxCols);
     for (std::size_t r = 0; r < 32; ++r)
@@ -369,9 +371,9 @@ TEST(CachedDecode, BitIdenticalUnderBothColumnLocModes) {
     HalfMatrix x = column(pre, kPrompt - 1);
     for (std::size_t t = 0; t < kSteps; ++t) {
       for (std::size_t r = 0; r < 32; ++r) seq(r, kPrompt + t) = x(r, 0);
-      const HalfMatrix y = enc.decode_step(x, cache, nullptr, &ctx);
+      const HalfMatrix y = enc.decode_step(x, cache, &ctx);
       const HalfMatrix full =
-          enc.forward(leading_cols(seq, kPrompt + t + 1), nullptr, &ctx);
+          enc.forward(leading_cols(seq, kPrompt + t + 1), &ctx);
       expect_bits_eq(y, column(full, kPrompt + t), "mode decode step");
       x = y;
     }
@@ -486,6 +488,26 @@ TEST(CachedDecode, InfiniteValueAtMaskedPositionDoesNotLeak) {
 TEST(CachedDecode, GuardsMisuse) {
   Rng rng(31);
   const HalfMatrix x1 = random_half_matrix(32, 1, rng, 0.5f);
+  // A rejected call leaves every ring exactly as it was: the same length
+  // at every layer, and still synchronized.
+  const auto expect_rejected = [](const auto& call,
+                                  std::initializer_list<const KvCache*> rings) {
+    std::vector<std::vector<std::size_t>> before;
+    for (const KvCache* c : rings) {
+      before.emplace_back();
+      for (std::size_t l = 0; l < c->layers(); ++l)
+        before.back().push_back(c->layer_length(l));
+    }
+    EXPECT_THROW(call(), Error);
+    std::size_t i = 0;
+    for (const KvCache* c : rings) {
+      for (std::size_t l = 0; l < c->layers(); ++l)
+        EXPECT_EQ(c->layer_length(l), before[i][l])
+            << "ring " << i << " layer " << l;
+      EXPECT_TRUE(c->synchronized()) << "ring " << i;
+      ++i;
+    }
+  };
 
   {  // non-causal encoder: a KV cache is a decode structure
     Rng r2(33);
@@ -494,34 +516,50 @@ TEST(CachedDecode, GuardsMisuse) {
     Encoder enc(cfg, r2);
     enc.sparsify(kVnm);
     KvCache cache = enc.make_cache(8);
-    EXPECT_THROW(enc.prefill(x1, cache), Error);
+    expect_rejected([&] { (void)enc.prefill(x1, cache); }, {&cache});
   }
   {  // dynamic N:M attention needs the whole probability row
     Encoder enc = causal_encoder();
     enc.set_dynamic_score_sparsity(NmPattern{2, 4});
     KvCache cache = enc.make_cache(8);
-    EXPECT_THROW(enc.prefill(x1, cache), Error);
+    expect_rejected([&] { (void)enc.prefill(x1, cache); }, {&cache});
   }
   const Encoder enc = causal_encoder();
   {  // layer-count mismatch
     KvCache cache(1, 32, 8);
-    EXPECT_THROW(enc.prefill(x1, cache), Error);
+    expect_rejected([&] { (void)enc.prefill(x1, cache); }, {&cache});
   }
   {  // window/capacity pairing is enforced
     const Encoder windowed = causal_encoder(8);
     KvCache cache = windowed.make_cache(16);
-    EXPECT_THROW(windowed.prefill(x1, cache), Error);
+    expect_rejected([&] { (void)windowed.prefill(x1, cache); }, {&cache});
   }
   {  // ring overflow without a window must throw, not silently evict
     KvCache cache = enc.make_cache(4);
     const HalfMatrix prompt = random_half_matrix(32, 4, rng, 0.5f);
     (void)enc.prefill(prompt, cache);
-    EXPECT_THROW(enc.decode_step(x1, cache), Error);
+    expect_rejected([&] { (void)enc.decode_step(x1, cache); }, {&cache});
   }
   {  // decode_step is single-token by contract
     KvCache cache = enc.make_cache(8);
     const HalfMatrix two = random_half_matrix(32, 2, rng, 0.5f);
-    EXPECT_THROW(enc.decode_step(two, cache), Error);
+    expect_rejected([&] { (void)enc.decode_step(two, cache); }, {&cache});
+  }
+  {  // fewer caches than sequences, down to none, is rejected — never
+     // served by the uncached forward
+    KvCache a = enc.make_cache(8);
+    (void)enc.prefill(random_half_matrix(32, 2, rng, 0.5f), a);
+    const HalfMatrix three = random_half_matrix(32, 3, rng, 0.5f);
+    const std::size_t two_seqs[] = {1, 3};
+    const std::size_t one_seq[] = {3};
+    KvCache* just_a[] = {&a};
+    const std::span<KvCache* const> none;
+    expect_rejected([&] { (void)enc.forward_cached(three, two_seqs, just_a); },
+                    {&a});
+    expect_rejected([&] { (void)enc.forward_cached(three, two_seqs, none); },
+                    {&a});
+    expect_rejected([&] { (void)enc.forward_cached(three, one_seq, none); },
+                    {&a});
   }
 }
 

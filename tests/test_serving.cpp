@@ -502,7 +502,6 @@ TEST(InferenceEngine, SteadyStateReusesPlansAndArena) {
   // Each sparse layer misses once per batch width, then hits forever.
   EXPECT_GT(stats.plan_cache_hits, stats.plan_cache_misses);
   EXPECT_GT(stats.peak_arena_bytes, 0u);
-  EXPECT_GT(stats.timing.gemm_s, 0.0);
   EXPECT_GT(stats.p50_ms, 0.0);
   EXPECT_GE(stats.p99_ms, stats.p50_ms);
 }

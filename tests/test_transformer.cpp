@@ -175,16 +175,6 @@ TEST(Linear, SparseForwardEqualsSpmmOfPrunedWeight) {
   (void)w_dense;
 }
 
-TEST(Linear, TimingAccumulates) {
-  Rng rng(6);
-  Linear lin = Linear::random(16, 16, rng);
-  const HalfMatrix x = random_half_matrix(16, 4, rng);
-  TimingBreakdown t;
-  lin.forward(x, &t);
-  EXPECT_GT(t.gemm_s, 0.0);
-  EXPECT_DOUBLE_EQ(t.softmax_s, 0.0);
-}
-
 TEST(Attention, ShapePreservedAndFinite) {
   Rng rng(7);
   MultiHeadAttention mha(32, 4, rng);
@@ -480,17 +470,6 @@ TEST(Config, GptModelsAreCausal) {
   EXPECT_TRUE(gpt3_175b().causal);
 }
 
-TEST(Attention, TimingBreakdownPopulated) {
-  Rng rng(9);
-  MultiHeadAttention mha(32, 4, rng);
-  const HalfMatrix x = random_half_matrix(32, 8, rng);
-  TimingBreakdown t;
-  mha.forward(x, &t);
-  EXPECT_GT(t.gemm_s, 0.0);
-  EXPECT_GT(t.softmax_s, 0.0);
-  EXPECT_GT(t.attn_matmul_s, 0.0);
-}
-
 TEST(Encoder, ForwardShapeAndFiniteness) {
   Rng rng(10);
   ModelConfig cfg{.name = "tiny", .layers = 2, .hidden = 32, .heads = 4,
@@ -546,20 +525,6 @@ TEST(Encoder, FullySparseStackRuns) {
   // Disabling restores the dense attention path.
   enc.set_dynamic_score_sparsity(std::nullopt);
   EXPECT_NO_THROW(enc.forward(x));
-}
-
-TEST(Encoder, TimingBreakdownSumsToTotal) {
-  Rng rng(12);
-  ModelConfig cfg{.name = "tiny", .layers = 1, .hidden = 32, .heads = 4,
-                  .ffn_hidden = 64, .seq_len = 4};
-  Encoder enc(cfg, rng);
-  const HalfMatrix x = random_half_matrix(32, 4, rng);
-  TimingBreakdown t;
-  enc.forward(x, &t);
-  EXPECT_GT(t.gemm_s, 0.0);
-  EXPECT_GT(t.other_s, 0.0);
-  EXPECT_NEAR(t.total(), t.gemm_s + t.softmax_s + t.attn_matmul_s + t.other_s,
-              1e-12);
 }
 
 // ---- fast ops and the attention core vs their oracles -----------------
@@ -769,7 +734,7 @@ TEST(AttentionCore, OutputIndependentOfThreadCount) {
   Rng wrng(74);
   Encoder enc(cfg, wrng);
   enc.sparsify({64, 2, 8});
-  expect_same_bits(enc.forward(q, nullptr, &one), enc.forward(q, nullptr, &four),
+  expect_same_bits(enc.forward(q, &one), enc.forward(q, &four),
                    "encoder forward, 1 vs 4 threads");
 }
 
