@@ -156,6 +156,57 @@ BENCHMARK(BM_VnmCompression)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
 using venom::bench::seconds_per_call;
 
+/// Median of nine interleaved timing pairs of two paths on one problem:
+/// `ratio` is the median per-pair slow_s / fast_s, so host drift between
+/// the paths cancels within each pair instead of landing on one side of
+/// the ratio; `fast_s` / `slow_s` are the median per-call times.
+struct PairedTiming {
+  double ratio = 0.0;
+  double fast_s = 0.0;
+  double slow_s = 0.0;
+};
+
+template <typename Fast, typename Slow>
+PairedTiming paired_timing(Fast&& fast, Slow&& slow) {
+  constexpr int kSamples = 9;
+  std::vector<double> ratios, fast_s, slow_s;
+  for (int i = 0; i < kSamples; ++i) {
+    fast_s.push_back(seconds_per_call(fast, 0.05));
+    slow_s.push_back(seconds_per_call(slow, 0.05));
+    ratios.push_back(slow_s.back() / fast_s.back());
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(ratios), median(fast_s), median(slow_s)};
+}
+
+/// linear_narrow_i8: a one-thread Linear::forward on a 64:2:8 1024x256
+/// int8 layer (the ffn-in of the serving model) at 16 tokens over the
+/// same call at 1 token. A decode step is 1-2 tokens wide; when narrow
+/// tiles fall off the vectorized path the ratio drops far below 1 (a
+/// 1-token call costing several 16-token ones).
+void narrow_linear_row(std::vector<venom::bench::JsonRecord>& records) {
+  Rng rng(4);
+  transformer::Linear lin = transformer::Linear::random(1024, 256, rng);
+  lin.sparsify({64, 2, 8});
+  lin.set_weight_dtype(ops::Dtype::kI8);
+  ops::ExecContextOptions one_thread;
+  one_thread.threads = 1;
+  ops::ExecContext ctx(one_thread);
+  const HalfMatrix x1 = random_half_matrix(256, 1, rng);
+  const HalfMatrix x16 = random_half_matrix(256, 16, rng);
+  const PairedTiming t = paired_timing(
+      [&] { benchmark::DoNotOptimize(lin.forward(x1, &ctx)); },
+      [&] { benchmark::DoNotOptimize(lin.forward(x16, &ctx)); });
+  records.push_back({"linear_narrow_i8", "1024x256 64:2:8 int8 16 vs 1 tokens",
+                     t.fast_s * 1e6, t.ratio, "us"});
+  std::printf("Linear::forward int8 1024x256 (1 thread): %.0f us at 1 token, "
+              "%.0f us at 16, 16-token/1-token cost ratio %.2f\n",
+              t.fast_s * 1e6, t.slow_s * 1e6, t.ratio);
+}
+
 /// Same-run ratio rows for the encoder's time outside the SpMM.
 ///
 /// attention_core: the multi-head attention core against its per-query
@@ -251,23 +302,25 @@ void write_speedup_json() {
     const VnmMatrix a = VnmMatrix::from_dense_magnitude(weight(), cfg);
     const double flops = spatha::spmm_flops(a, kC);
     const ops::MatmulArgs margs = ops::MatmulArgs::make(a, b);
-    const double fast_s = seconds_per_call(
-        [&] { benchmark::DoNotOptimize(ops::matmul(margs)); });
-    const double seed_s = seconds_per_call([&] {
-      const ops::ScopedBackend forced("vnm-scalar");
-      benchmark::DoNotOptimize(ops::matmul(margs));
-    });
+    const PairedTiming fast_vs_seed = paired_timing(
+        [&] { benchmark::DoNotOptimize(ops::matmul(margs)); },
+        [&] {
+          const ops::ScopedBackend forced("vnm-scalar");
+          benchmark::DoNotOptimize(ops::matmul(margs));
+        });
+    const double fast_s = fast_vs_seed.fast_s;
+    const double seed_s = fast_vs_seed.slow_s;
     const std::string shape = "R" + std::to_string(kR) + "xK" +
                               std::to_string(kK) + "xC" + std::to_string(kC) +
                               " " + std::to_string(cfg.v) + ":" +
                               std::to_string(cfg.n) + ":" +
                               std::to_string(cfg.m);
     records.push_back({"spmm_vnm", shape, flops / fast_s * 1e-9,
-                       seed_s / fast_s});
+                       fast_vs_seed.ratio});
     records.push_back({"spmm_vnm_scalar", shape, flops / seed_s * 1e-9, 1.0});
     std::printf("  %-24s %7.2f GFLOP/s  (seed %5.2f GFLOP/s, speedup %.2fx)\n",
                 shape.c_str(), flops / fast_s * 1e-9, flops / seed_s * 1e-9,
-                seed_s / fast_s);
+                fast_vs_seed.ratio);
 
     // Reduced-precision rows on the same shape: pre-quantized weights
     // through the dispatch layer, ratios against the same seed run so
@@ -293,6 +346,7 @@ void write_speedup_json() {
                 (shape + " fp8").c_str(), flops / f8_s * 1e-9, fast_s / f8_s);
   }
   transformer_rows(records);
+  narrow_linear_row(records);
   // Merge (not overwrite) so bench_autotune's tuned-vs-heuristic records
   // survive a re-run of this harness and vice versa.
   venom::bench::merge_bench_json("BENCH_kernels.json", records);

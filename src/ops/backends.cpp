@@ -246,6 +246,27 @@ class DenseGemmBackend final : public Matmul {
 // vnm-fast by default: quantized execution engages only for explicitly
 // quantized args or through an override.
 
+/// Calls fn with the int8 weight of a quantized-backend dispatch: the
+/// caller's image, the context's memoized one (pre-hashed fp16 args), or
+/// a fresh quantization.
+template <class Fn>
+auto with_i8_weight(const MatmulArgs& args, ExecContext& ctx, Fn&& fn) {
+  if (args.qvnm != nullptr) return fn(*args.qvnm);
+  if (args.vnm_shared != nullptr)
+    return fn(*ctx.quant_cache().get_i8(*args.vnm, args.vnm_fingerprint));
+  return fn(quant::QuantizedVnmMatrix::quantize(*args.vnm));
+}
+
+/// The fp8 counterpart of with_i8_weight (E4M3 for fp16 args).
+template <class Fn>
+auto with_fp8_weight(const MatmulArgs& args, ExecContext& ctx, Fn&& fn) {
+  if (args.f8vnm != nullptr) return fn(*args.f8vnm);
+  if (args.vnm_shared != nullptr)
+    return fn(*ctx.quant_cache().get_fp8(*args.vnm, args.vnm_fingerprint,
+                                         Fp8Format::kE4M3));
+  return fn(quant::Fp8VnmMatrix::quantize(*args.vnm, Fp8Format::kE4M3));
+}
+
 /// Packed int8 panels, int32 accumulation, per-row x per-column scale
 /// dequantization on the epilogue.
 class VnmInt8Backend final : public Matmul {
@@ -263,23 +284,31 @@ class VnmInt8Backend final : public Matmul {
            (desc.dtype == Dtype::kI8 || desc.dtype == Dtype::kF16);
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    if (args.qvnm != nullptr) return execute(*args.qvnm, args, ctx);
-    if (args.vnm_shared != nullptr)
-      return execute(
-          *ctx.quant_cache().get_i8(*args.vnm, args.vnm_fingerprint), args,
-          ctx);
-    return execute(quant::QuantizedVnmMatrix::quantize(*args.vnm), args, ctx);
+    return with_i8_weight(args, ctx, [&](const quant::QuantizedVnmMatrix& a) {
+      return quant::spmm_vnm_i8(a, *args.b, config(a, args, ctx),
+                                &ctx.pool(), &ctx.scratch());
+    });
+  }
+  /// Bias, activation and the fp16 convert ride the dequantizing
+  /// write-back instead of a materialized fp32 C.
+  HalfMatrix run_fused(const MatmulArgs& args,
+                       const spatha::Epilogue& epilogue,
+                       ExecContext& ctx) const override {
+    return with_i8_weight(args, ctx, [&](const quant::QuantizedVnmMatrix& a) {
+      return quant::spmm_vnm_i8_fused(a, *args.b, epilogue,
+                                      config(a, args, ctx), &ctx.pool(),
+                                      &ctx.scratch());
+    });
   }
 
  private:
-  static FloatMatrix execute(const quant::QuantizedVnmMatrix& a,
-                             const MatmulArgs& args, ExecContext& ctx) {
-    const spatha::SpmmConfig cfg =
-        args.config != nullptr
-            ? *args.config
-            : ctx.select_config_i8(a.config(), a.rows(), a.cols(),
-                                   args.b->cols());
-    return quant::spmm_vnm_i8(a, *args.b, cfg, &ctx.pool(), &ctx.scratch());
+  static spatha::SpmmConfig config(const quant::QuantizedVnmMatrix& a,
+                                   const MatmulArgs& args,
+                                   const ExecContext& ctx) {
+    return args.config != nullptr
+               ? *args.config
+               : ctx.select_config_i8(a.config(), a.rows(), a.cols(),
+                                      args.b->cols());
   }
 };
 
@@ -301,14 +330,9 @@ class VnmInt8ScalarBackend final : public Matmul {
     const spatha::ColumnLocMode mode =
         args.config != nullptr ? args.config->column_loc
                                : spatha::ColumnLocMode::kEnabled;
-    if (args.qvnm != nullptr)
-      return quant::spmm_vnm_i8_scalar(*args.qvnm, *args.b, mode);
-    if (args.vnm_shared != nullptr)
-      return quant::spmm_vnm_i8_scalar(
-          *ctx.quant_cache().get_i8(*args.vnm, args.vnm_fingerprint),
-          *args.b, mode);
-    return quant::spmm_vnm_i8_scalar(
-        quant::QuantizedVnmMatrix::quantize(*args.vnm), *args.b, mode);
+    return with_i8_weight(args, ctx, [&](const quant::QuantizedVnmMatrix& a) {
+      return quant::spmm_vnm_i8_scalar(a, *args.b, mode);
+    });
   }
 };
 
@@ -331,25 +355,29 @@ class VnmFp8Backend final : public Matmul {
             desc.dtype == Dtype::kF16);
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    if (args.f8vnm != nullptr) return execute(*args.f8vnm, args, ctx);
-    if (args.vnm_shared != nullptr)
-      return execute(*ctx.quant_cache().get_fp8(*args.vnm,
-                                                args.vnm_fingerprint,
-                                                Fp8Format::kE4M3),
-                     args, ctx);
-    return execute(quant::Fp8VnmMatrix::quantize(*args.vnm, Fp8Format::kE4M3),
-                   args, ctx);
+    return with_fp8_weight(args, ctx, [&](const quant::Fp8VnmMatrix& a) {
+      return quant::spmm_vnm_fp8(a, *args.b, config(a, args, ctx),
+                                 &ctx.pool(), &ctx.scratch());
+    });
+  }
+  HalfMatrix run_fused(const MatmulArgs& args,
+                       const spatha::Epilogue& epilogue,
+                       ExecContext& ctx) const override {
+    return with_fp8_weight(args, ctx, [&](const quant::Fp8VnmMatrix& a) {
+      return quant::spmm_vnm_fp8_fused(a, *args.b, epilogue,
+                                       config(a, args, ctx), &ctx.pool(),
+                                       &ctx.scratch());
+    });
   }
 
  private:
-  static FloatMatrix execute(const quant::Fp8VnmMatrix& a,
-                             const MatmulArgs& args, ExecContext& ctx) {
-    const spatha::SpmmConfig cfg =
-        args.config != nullptr
-            ? *args.config
-            : ctx.select_config_fp8(a.config(), a.rows(), a.cols(),
-                                    args.b->cols());
-    return quant::spmm_vnm_fp8(a, *args.b, cfg, &ctx.pool(), &ctx.scratch());
+  static spatha::SpmmConfig config(const quant::Fp8VnmMatrix& a,
+                                   const MatmulArgs& args,
+                                   const ExecContext& ctx) {
+    return args.config != nullptr
+               ? *args.config
+               : ctx.select_config_fp8(a.config(), a.rows(), a.cols(),
+                                       args.b->cols());
   }
 };
 
@@ -372,16 +400,9 @@ class VnmFp8ScalarBackend final : public Matmul {
     const spatha::ColumnLocMode mode =
         args.config != nullptr ? args.config->column_loc
                                : spatha::ColumnLocMode::kEnabled;
-    if (args.f8vnm != nullptr)
-      return quant::spmm_vnm_fp8_scalar(*args.f8vnm, *args.b, mode);
-    if (args.vnm_shared != nullptr)
-      return quant::spmm_vnm_fp8_scalar(
-          *ctx.quant_cache().get_fp8(*args.vnm, args.vnm_fingerprint,
-                                     Fp8Format::kE4M3),
-          *args.b, mode);
-    return quant::spmm_vnm_fp8_scalar(
-        quant::Fp8VnmMatrix::quantize(*args.vnm, Fp8Format::kE4M3), *args.b,
-        mode);
+    return with_fp8_weight(args, ctx, [&](const quant::Fp8VnmMatrix& a) {
+      return quant::spmm_vnm_fp8_scalar(a, *args.b, mode);
+    });
   }
 };
 

@@ -172,10 +172,10 @@ class Matmul {
   /// C = A * B with fp32 output.
   virtual FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const = 0;
   /// Fused-epilogue run (bias / activation, fp16 output). The default
-  /// computes run() and applies the epilogue row-wise afterwards — the
-  /// same float-domain bias+activation followed by one bulk fp16
-  /// conversion per row the fused Spatha stage 3 performs, so results
-  /// are bit-identical whether or not a backend overrides this.
+  /// computes run() and applies the epilogue afterwards through
+  /// spatha::apply_epilogue_tile — the function every fused write-back
+  /// (Spatha, int8, fp8) runs — so results are bit-identical whether or
+  /// not a backend overrides this.
   virtual HalfMatrix run_fused(const MatmulArgs& args,
                                const spatha::Epilogue& epilogue,
                                ExecContext& ctx) const;

@@ -194,19 +194,20 @@ inline __m256i pack_a_pair(std::int32_t a1, std::int32_t a2) {
 }
 #endif
 
-/// Stage 2 of the int8 pipeline: register-blocked int32 accumulation.
-/// The vector path consumes TWO nonzeros per step: their panel rows are
-/// interleaved with vpunpck[lh]wd and reduced with vpmaddwd (int16 pair
-/// dot products, two MACs per lane per instruction — products are at
-/// most 127^2 so the pairwise int32 sum is exact), which is where the
-/// speedup over the fp16 FMA kernel comes from. int32 accumulation is
-/// associative-exact, so the strip/pair order is free and the result is
-/// bit-identical to the scalar oracle on every target.
-inline void accumulate_panel_i8(const QuantizedVnmMatrix& a, std::size_t br,
-                                std::size_t g0, std::size_t g1,
-                                std::size_t width,
-                                spatha::detail::SpmmScratch& s,
-                                std::int32_t* acc) {
+/// Column-strip kernel of the int8 pipeline over columns [0, strips):
+/// register-blocked int32 accumulation. The vector path consumes TWO
+/// nonzeros per step: their panel rows are interleaved with vpunpck[lh]wd
+/// and reduced with vpmaddwd (int16 pair dot products, two MACs per lane
+/// per instruction — products are at most 127^2 so the pairwise int32
+/// sum is exact), which is where the speedup over the fp16 FMA kernel
+/// comes from. int32 accumulation is associative-exact, so the
+/// strip/pair order is free and the result is bit-identical to the
+/// scalar oracle on every target.
+inline void accumulate_strips_i8(const QuantizedVnmMatrix& a, std::size_t br,
+                                 std::size_t g0, std::size_t g1,
+                                 std::size_t width, std::size_t strips,
+                                 spatha::detail::SpmmScratch& s,
+                                 std::int32_t* acc) {
   const VnmConfig fmt = a.config();
   const std::size_t sel = fmt.selected_cols();
   const std::size_t groups = a.groups_per_row();
@@ -221,18 +222,18 @@ inline void accumulate_panel_i8(const QuantizedVnmMatrix& a, std::size_t br,
     const std::uint8_t* midx =
         a.m_indices().data() + (r * groups + g0) * fmt.n;
     std::size_t cnt = 0;
-    for (std::size_t k = 0; k < span; ++k) {
-      if (vals[k] == 0) continue;
-      s.a_ints[cnt] = vals[k];
-      s.a_offs[cnt] = static_cast<std::uint32_t>(
-          ((k / fmt.n) * sel + midx[k]) * width);
-      ++cnt;
+    for (std::size_t k = 0, row0 = 0; k < span; row0 += sel) {
+      for (std::size_t j = 0; j < fmt.n; ++j, ++k) {
+        if (vals[k] == 0) continue;
+        s.a_ints[cnt] = vals[k];
+        s.a_offs[cnt] = static_cast<std::uint32_t>((row0 + midx[k]) * width);
+        ++cnt;
+      }
     }
 
     std::int32_t* arow = acc + dr * width;
-    std::size_t n0 = 0;
 #if defined(__AVX2__)
-    for (; n0 + 16 <= width; n0 += 16) {
+    for (std::size_t n0 = 0; n0 < strips; n0 += 16) {
       // Unpack interleaves within 128-bit lanes, so the running sums
       // hold columns [0-3, 8-11] and [4-7, 12-15]; one cross-lane
       // permute per strip restores natural order at fold-in time.
@@ -266,8 +267,7 @@ inline void accumulate_panel_i8(const QuantizedVnmMatrix& a, std::size_t br,
           out + 1, _mm256_add_epi32(_mm256_loadu_si256(out + 1), hi));
     }
 #else
-    for (; n0 + spatha::detail::kStrip <= width;
-         n0 += spatha::detail::kStrip) {
+    for (std::size_t n0 = 0; n0 < strips; n0 += spatha::detail::kStrip) {
       std::int32_t regs[spatha::detail::kStrip];
       for (std::size_t u = 0; u < spatha::detail::kStrip; ++u)
         regs[u] = arow[n0 + u];
@@ -281,17 +281,164 @@ inline void accumulate_panel_i8(const QuantizedVnmMatrix& a, std::size_t br,
         arow[n0 + u] = regs[u];
     }
 #endif
-    if (n0 < width) {
-      const std::size_t rem = width - n0;
-      for (std::size_t t = 0; t < cnt; ++t) {
-        const std::int32_t av = s.a_ints[t];
-        const std::int16_t* bp = pan + s.a_offs[t] + n0;
-        std::int32_t* ar = arow + n0;
-        for (std::size_t u = 0; u < rem; ++u)
-          ar[u] += av * std::int32_t(bp[u]);
+  }
+}
+
+/// Row-lane kernel of the int8 pipeline over columns [n0, width): the
+/// integer form of spatha::detail::accumulate_lanes_f32. Each lane block
+/// of kLanes rows is transposed once per panel to [slot][lane] (code and
+/// m-index; missing lanes of a partial block carry code 0); per column
+/// and slot every lane picks its panel row among the group's shared
+/// selectors. A zero code adds an exact 0, so no mask is needed.
+#if defined(__AVX2__)
+/// AVX2: slots pair up, each lane's two codes in one dword, so one
+/// vpmaddwd per 8 lanes does two slots (products <= 127^2, the pair sum
+/// exact in int32). The selection runs on the matching int16 pairs of
+/// m-indices against broadcast pairs of panel values.
+inline void accumulate_lanes_i8(const QuantizedVnmMatrix& a, std::size_t br,
+                                std::size_t g0, std::size_t ga,
+                                std::size_t gb, std::size_t width,
+                                std::size_t n0,
+                                spatha::detail::SpmmScratch& s,
+                                std::int32_t* acc) {
+  constexpr std::size_t kLanes = spatha::detail::kLanes;
+  const VnmConfig fmt = a.config();
+  const std::size_t sel = fmt.selected_cols();
+  const std::size_t groups = a.groups_per_row();
+  const std::size_t span = (gb - ga) * fmt.n;
+  const std::size_t pairs = (span + 1) / 2;
+  // Per pair: kLanes code dwords, kLanes m-index dwords, then the panel
+  // offsets of the pair's two slots (their groups differ when N is odd).
+  s.a_ints.resize(pairs * kLanes);
+  s.a_offs.resize(pairs * (kLanes + 2));
+  std::int32_t* lane_codes = s.a_ints.data();
+  std::uint32_t* lane_sel = s.a_offs.data();
+  std::uint32_t* slot_offs = lane_sel + pairs * kLanes;
+  const std::int16_t* pan = s.panel_i16.data() + (ga - g0) * sel * width;
+  for (std::size_t k = 0; k < 2 * pairs; ++k)
+    slot_offs[k] = static_cast<std::uint32_t>(
+        std::min(k, span - 1) / fmt.n * sel * width);
+
+  for (std::size_t dr0 = 0; dr0 < fmt.v; dr0 += kLanes) {
+    const std::size_t lanes = std::min(kLanes, fmt.v - dr0);
+    for (std::size_t u = 0; u < kLanes; ++u) {
+      const std::size_t base = ((br * fmt.v + dr0 + u) * groups + ga) * fmt.n;
+      for (std::size_t p = 0; p < pairs; ++p) {
+        std::uint32_t code = 0, mi = 0;
+        for (std::size_t h = 0; h < 2 && u < lanes && 2 * p + h < span; ++h) {
+          code |= std::uint32_t(std::uint16_t(a.values()[base + 2 * p + h]))
+                  << (16 * h);
+          mi |= std::uint32_t(a.m_indices()[base + 2 * p + h]) << (16 * h);
+        }
+        lane_codes[p * kLanes + u] = static_cast<std::int32_t>(code);
+        lane_sel[p * kLanes + u] = mi;
       }
     }
+
+    for (std::size_t n = n0; n < width; ++n) {
+      __m256i sum_a = _mm256_setzero_si256();  // lanes 0-7
+      __m256i sum_b = _mm256_setzero_si256();  // lanes 8-15
+      for (std::size_t p = 0; p < pairs; ++p) {
+        const std::int16_t* lo = pan + slot_offs[2 * p] + n;
+        const std::int16_t* hi = pan + slot_offs[2 * p + 1] + n;
+        const auto panel_pair = [&](std::size_t sl) {
+          return _mm256_set1_epi32(static_cast<std::int32_t>(
+              std::uint32_t(std::uint16_t(lo[sl * width])) |
+              (std::uint32_t(std::uint16_t(hi[sl * width])) << 16)));
+        };
+        const __m256i* sp =
+            reinterpret_cast<const __m256i*>(lane_sel + p * kLanes);
+        const __m256i sel_a = _mm256_loadu_si256(sp);
+        const __m256i sel_b = _mm256_loadu_si256(sp + 1);
+        __m256i b_a = panel_pair(0);
+        __m256i b_b = b_a;
+        for (std::size_t sl = 1; sl < sel; ++sl) {
+          const __m256i bs = panel_pair(sl);
+          const __m256i want = _mm256_set1_epi16(static_cast<short>(sl));
+          b_a = _mm256_blendv_epi8(b_a, bs, _mm256_cmpeq_epi16(sel_a, want));
+          b_b = _mm256_blendv_epi8(b_b, bs, _mm256_cmpeq_epi16(sel_b, want));
+        }
+        const __m256i* cp =
+            reinterpret_cast<const __m256i*>(lane_codes + p * kLanes);
+        sum_a = madd_acc_i16(sum_a, b_a, _mm256_loadu_si256(cp));
+        sum_b = madd_acc_i16(sum_b, b_b, _mm256_loadu_si256(cp + 1));
+      }
+      alignas(32) std::int32_t out[kLanes];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(out), sum_a);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(out + 8), sum_b);
+      for (std::size_t u = 0; u < lanes; ++u)
+        acc[(dr0 + u) * width + n] += out[u];
+    }
   }
+}
+#else
+/// Portable: one plain-C++ fixed-lane loop, int32 lanes.
+inline void accumulate_lanes_i8(const QuantizedVnmMatrix& a, std::size_t br,
+                                std::size_t g0, std::size_t ga,
+                                std::size_t gb, std::size_t width,
+                                std::size_t n0,
+                                spatha::detail::SpmmScratch& s,
+                                std::int32_t* acc) {
+  constexpr std::size_t kLanes = spatha::detail::kLanes;
+  const VnmConfig fmt = a.config();
+  const std::size_t sel = fmt.selected_cols();
+  const std::size_t groups = a.groups_per_row();
+  const std::size_t span = (gb - ga) * fmt.n;
+  s.a_ints.resize(span * kLanes);
+  s.a_offs.resize(span * kLanes);
+  std::int32_t* lane_codes = s.a_ints.data();
+  std::uint32_t* lane_sel = s.a_offs.data();
+  const std::int16_t* pan = s.panel_i16.data() + (ga - g0) * sel * width;
+
+  for (std::size_t dr0 = 0; dr0 < fmt.v; dr0 += kLanes) {
+    const std::size_t lanes = std::min(kLanes, fmt.v - dr0);
+    for (std::size_t u = 0; u < kLanes; ++u) {
+      const std::size_t base = ((br * fmt.v + dr0 + u) * groups + ga) * fmt.n;
+      for (std::size_t k = 0; k < span; ++k) {
+        lane_codes[k * kLanes + u] = u < lanes ? a.values()[base + k] : 0;
+        lane_sel[k * kLanes + u] = u < lanes ? a.m_indices()[base + k] : 0;
+      }
+    }
+
+    for (std::size_t n = n0; n < width; ++n) {
+      std::int32_t regs[kLanes] = {};
+      const std::int32_t* kc = lane_codes;
+      const std::uint32_t* ks = lane_sel;
+      for (std::size_t g = 0; g < gb - ga; ++g) {
+        const std::int16_t* bcol = pan + g * sel * width + n;
+        for (std::size_t j = 0; j < fmt.n; ++j, kc += kLanes, ks += kLanes) {
+          std::int32_t bl[kLanes];
+          for (std::size_t u = 0; u < kLanes; ++u) bl[u] = bcol[0];
+          for (std::uint32_t sl = 1; sl < sel; ++sl) {
+            const std::int32_t bs = bcol[sl * width];
+            for (std::size_t u = 0; u < kLanes; ++u)
+              bl[u] = ks[u] == sl ? bs : bl[u];
+          }
+          for (std::size_t u = 0; u < kLanes; ++u) regs[u] += kc[u] * bl[u];
+        }
+      }
+      for (std::size_t u = 0; u < lanes; ++u)
+        acc[(dr0 + u) * width + n] += regs[u];
+    }
+  }
+}
+
+#endif
+
+/// Stage 2 of the int8 pipeline: full 16-column strips take the strip
+/// kernel, the rest of the tile the row-lane kernel.
+inline void accumulate_panel_i8(const QuantizedVnmMatrix& a, std::size_t br,
+                                std::size_t g0, std::size_t g1,
+                                std::size_t width,
+                                spatha::detail::SpmmScratch& s,
+                                std::int32_t* acc) {
+  const std::size_t strips = width - width % spatha::detail::kStrip;
+  if (strips > 0) accumulate_strips_i8(a, br, g0, g1, width, strips, s, acc);
+  for (std::size_t ga = g0; strips < width && ga < g1;
+       ga += spatha::detail::kLaneGroups)
+    accumulate_lanes_i8(a, br, g0, ga,
+                        std::min(g1, ga + spatha::detail::kLaneGroups), width,
+                        strips, s, acc);
 }
 
 #if defined(__AVX512VNNI__)
@@ -369,23 +516,23 @@ inline void gather_b_panel_i8_vnni(const QuantizedVnmMatrix& a,
 }
 
 /// Packs every (row, group) of the block row into its vpdpbusd code
-/// dword — code of selector slot s at byte s, unused slots zero — plus
-/// per-row prefix sums of the codes over groups for the bias
-/// correction. Runs once per output tile: the packing depends only on
-/// the block row, so hoisting it out of the K-panel loop removes the
-/// dominant per-(row, panel) fixed cost for formats with many small
-/// panels.
+/// dword — code of selector slot s at byte s, unused slots zero — laid
+/// out [group][row], plus per-row prefix sums of the codes over groups
+/// for the bias correction. Runs once per output tile: the packing
+/// depends only on the block row, so hoisting it out of the K-panel loop
+/// removes the dominant per-(row, panel) fixed cost for formats with many
+/// small panels. The strip kernel broadcasts one row's dword per group;
+/// the row-lane kernel loads sixteen rows' dwords of a group at once.
 inline void pack_a_codes_i8_vnni(const QuantizedVnmMatrix& a, std::size_t br,
                                  spatha::detail::SpmmScratch& s) {
   const VnmConfig fmt = a.config();
   const std::size_t groups = a.groups_per_row();
-  s.a_ints.assign(fmt.v * groups, 0);
+  s.a_ints.resize(groups * fmt.v);
   s.a_sums.resize(fmt.v * (groups + 1));
   for (std::size_t dr = 0; dr < fmt.v; ++dr) {
     const std::size_t r = br * fmt.v + dr;
     const std::int8_t* vals = a.values().data() + r * groups * fmt.n;
     const std::uint8_t* midx = a.m_indices().data() + r * groups * fmt.n;
-    std::int32_t* dw = s.a_ints.data() + dr * groups;
     std::int32_t* ps = s.a_sums.data() + dr * (groups + 1);
     ps[0] = 0;
     for (std::size_t g = 0; g < groups; ++g) {
@@ -396,17 +543,19 @@ inline void pack_a_codes_i8_vnni(const QuantizedVnmMatrix& a, std::size_t br,
         d |= std::uint32_t(std::uint8_t(v)) << (8 * midx[g * fmt.n + j]);
         sum += v;
       }
-      dw[g] = static_cast<std::int32_t>(d);
+      s.a_ints[g * fmt.v + dr] = static_cast<std::int32_t>(d);
       ps[g + 1] = ps[g] + sum;
     }
   }
 }
 
-/// Stage 2 against the quad-interleaved panel: per group per 16-column
-/// strip, one vpdpbusd against the row's packed slot-code dword (four
-/// u8*s8 MACs per int32 lane per instruction). Accumulator lanes land in
-/// natural column order, so fold-in is a plain add minus the bias
-/// correction — no permutes anywhere in the hot loop.
+/// Stage 2 against the quad-interleaved panel. Full 16-column strips:
+/// per group, one vpdpbusd against the row's packed slot-code dword
+/// (four u8*s8 MACs per int32 lane per instruction); accumulator lanes
+/// land in natural column order, so fold-in is a plain add minus the
+/// bias correction. The remaining columns (all of a tile narrower than
+/// 16) run the row-lane kernel: per group and column, one vpdpbusd of
+/// the column's broadcast panel quad against sixteen rows' code dwords.
 inline void accumulate_panel_i8_vnni(const QuantizedVnmMatrix& a,
                                      std::size_t g0, std::size_t g1,
                                      std::size_t width,
@@ -415,23 +564,22 @@ inline void accumulate_panel_i8_vnni(const QuantizedVnmMatrix& a,
   const VnmConfig fmt = a.config();
   const std::size_t groups = a.groups_per_row();
   const std::size_t quads = g1 - g0;
+  const std::size_t strips = width - width % 16;
   const std::uint8_t* pan = s.panel_u8.data();
+  const std::int32_t* dw = s.a_ints.data() + g0 * fmt.v;
 
-  for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-    const std::int32_t* dw = s.a_ints.data() + dr * groups + g0;
+  for (std::size_t dr = 0; strips > 0 && dr < fmt.v; ++dr) {
     const std::int32_t* ps = s.a_sums.data() + dr * (groups + 1);
-    const std::int32_t corr = 128 * (ps[g1] - ps[g0]);
-
+    const __m512i corr16 = _mm512_set1_epi32(128 * (ps[g1] - ps[g0]));
     std::int32_t* arow = acc + dr * width;
     std::size_t n0 = 0;
-    const __m512i corr16 = _mm512_set1_epi32(corr);
-    for (; n0 + 64 <= width; n0 += 64) {
+    for (; n0 + 64 <= strips; n0 += 64) {
       __m512i a0 = _mm512_setzero_si512();
       __m512i a1 = _mm512_setzero_si512();
       __m512i a2 = _mm512_setzero_si512();
       __m512i a3 = _mm512_setzero_si512();
       for (std::size_t q = 0; q < quads; ++q) {
-        const __m512i av = _mm512_set1_epi32(dw[q]);
+        const __m512i av = _mm512_set1_epi32(dw[q * fmt.v + dr]);
         const std::uint8_t* bp = pan + q * 4 * width + 4 * n0;
         a0 = _mm512_dpbusd_epi32(
             a0, _mm512_loadu_si512(reinterpret_cast<const void*>(bp)), av);
@@ -453,113 +601,148 @@ inline void accumulate_panel_i8_vnni(const QuantizedVnmMatrix& a,
                                   _mm512_sub_epi32(part, corr16)));
       }
     }
-    for (; n0 + 16 <= width; n0 += 16) {
+    for (; n0 < strips; n0 += 16) {
       __m512i a0 = _mm512_setzero_si512();
       for (std::size_t q = 0; q < quads; ++q)
         a0 = _mm512_dpbusd_epi32(
             a0,
             _mm512_loadu_si512(
                 reinterpret_cast<const void*>(pan + q * 4 * width + 4 * n0)),
-            _mm512_set1_epi32(dw[q]));
+            _mm512_set1_epi32(dw[q * fmt.v + dr]));
       void* out = arow + n0;
       _mm512_storeu_si512(
           out, _mm512_add_epi32(_mm512_loadu_si512(out),
                                 _mm512_sub_epi32(a0, corr16)));
     }
-    if (n0 < width) {
-      // Ragged tail: signed math directly on the biased bytes.
-      for (std::size_t p = 0; p < quads * 4; ++p) {
-        const std::int32_t av = static_cast<std::int8_t>(
-            static_cast<std::uint32_t>(dw[p / 4]) >> (8 * (p % 4)));
-        if (av == 0) continue;
-        const std::uint8_t* bp = pan + (p / 4) * 4 * width + (p % 4);
-        for (std::size_t n = n0; n < width; ++n)
-          arow[n] += av * (std::int32_t(bp[4 * n]) - 128);
+  }
+
+  for (std::size_t dr0 = 0; strips < width && dr0 < fmt.v; dr0 += 16) {
+    // A partial final block (V not a multiple of 16) masks its loads.
+    const std::size_t lanes = std::min<std::size_t>(16, fmt.v - dr0);
+    const __mmask16 live = static_cast<__mmask16>((1u << lanes) - 1u);
+    alignas(64) std::int32_t corr[16] = {};
+    for (std::size_t u = 0; u < lanes; ++u) {
+      const std::int32_t* ps = s.a_sums.data() + (dr0 + u) * (groups + 1);
+      corr[u] = 128 * (ps[g1] - ps[g0]);
+    }
+    const __m512i corr16 = _mm512_load_si512(corr);
+    for (std::size_t n = strips; n < width; ++n) {
+      __m512i sum = _mm512_setzero_si512();
+      for (std::size_t q = 0; q < quads; ++q) {
+        std::int32_t quad;
+        std::memcpy(&quad, pan + q * 4 * width + 4 * n, sizeof(quad));
+        sum = _mm512_dpbusd_epi32(
+            sum, _mm512_set1_epi32(quad),
+            _mm512_maskz_loadu_epi32(live, dw + q * fmt.v + dr0));
       }
+      alignas(64) std::int32_t out[16];
+      _mm512_store_si512(out, _mm512_sub_epi32(sum, corr16));
+      for (std::size_t u = 0; u < lanes; ++u)
+        acc[(dr0 + u) * width + n] += out[u];
     }
   }
 }
 #endif  // __AVX512VNNI__
 
-/// fp8 gather: same packed float panel as the fp16 path (fp8 is only the
-/// A-operand storage; B stays fp16 and converts once per gather).
-inline void gather_b_panel_fp8(const Fp8VnmMatrix& a, const HalfMatrix& b,
-                               std::size_t br, std::size_t g0, std::size_t g1,
-                               std::size_t c0, std::size_t width, bool fixed,
-                               std::vector<float>& panel) {
-  const VnmConfig fmt = a.config();
-  const std::size_t sel = fmt.selected_cols();
-  const std::size_t groups = a.groups_per_row();
-  panel.resize((g1 - g0) * sel * width);
-  const std::uint8_t* cloc =
-      a.column_locs().data() + (br * groups + g0) * sel;
-  for (std::size_t g = g0; g < g1; ++g) {
-    for (std::size_t s = 0; s < sel; ++s) {
-      const std::size_t offset = fixed ? s : cloc[(g - g0) * sel + s];
-      half_to_float_n(&b(g * fmt.m + offset, c0),
-                      &panel[((g - g0) * sel + s) * width], width);
-    }
-  }
+/// fp8 value decode for the shared float-panel kernels: fp8 is only the
+/// A-operand storage; B stays fp16 and gathers into the same float panel
+/// as the fp16 path. Decoded zeros (including sub-fp8 fp16 values that
+/// flushed on quantize) are skipped like fp16 zeros.
+inline auto fp8_values(const Fp8VnmMatrix& a) {
+  return [vals = a.values().data(), f8 = a.format()](
+             std::size_t first, std::size_t count, float* dst) {
+    fp8_to_float_n(vals + first, dst, count, f8);
+  };
 }
 
-/// Stage 2 of the fp8 pipeline: identical to accumulate_panel_f32 except
-/// the nonzero hoist decodes through the fp8 table (and skips decoded
-/// zeros, which covers sub-fp8 fp16 values that flushed on quantize).
-inline void accumulate_panel_fp8(const Fp8VnmMatrix& a, std::size_t br,
-                                 std::size_t g0, std::size_t g1,
-                                 std::size_t width,
-                                 spatha::detail::SpmmScratch& s,
-                                 float* acc) {
+void check_bias(const spatha::Epilogue& epilogue, std::size_t rows) {
+  VENOM_CHECK_MSG(epilogue.bias.empty() || epilogue.bias.size() == rows,
+                  "bias size " << epilogue.bias.size() << " != rows "
+                               << rows);
+}
+
+/// Checks the int8 product and quantizes B per column (shared by the
+/// plain and fused entry points); resolves a null pool to the global one.
+QuantizedB prepare_i8(const QuantizedVnmMatrix& a, const HalfMatrix& b,
+                      const spatha::SpmmConfig& cfg, ThreadPool*& pool) {
+  VENOM_CHECK_MSG(a.cols() == b.rows(), "quantized SpMM shape mismatch");
+  spatha::validate(cfg, a.config(), a.rows(), a.cols(), b.cols());
+  if (pool == nullptr) pool = &ThreadPool::global();
+  return quantize_columns(b);
+}
+
+/// Dequantizing stage 3 of one output row: out[n] = float(acc[n]) * rs *
+/// cs[n]. The vector paths keep the scalar loop's per-element order, so
+/// every target writes the same bits.
+void dequantize_row(const std::int32_t* acc, float rs, const float* cs,
+                    float* out, std::size_t width) {
+  std::size_t n = 0;
+#if defined(__AVX512F__)
+  const __m512 rsv = _mm512_set1_ps(rs);
+  for (; n + 16 <= width; n += 16)
+    _mm512_storeu_ps(
+        out + n,
+        _mm512_mul_ps(_mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_loadu_si512(
+                                        reinterpret_cast<const void*>(acc + n))),
+                                    rsv),
+                      _mm512_loadu_ps(cs + n)));
+#elif defined(__AVX2__)
+  const __m256 rsv = _mm256_set1_ps(rs);
+  for (; n + 8 <= width; n += 8)
+    _mm256_storeu_ps(
+        out + n,
+        _mm256_mul_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_loadu_si256(
+                                        reinterpret_cast<const __m256i*>(acc + n))),
+                                    rsv),
+                      _mm256_loadu_ps(cs + n)));
+#endif
+  for (; n < width; ++n) out[n] = float(acc[n]) * rs * cs[n];
+}
+
+/// The int8 tile loop: the (block row, C tile) decomposition of
+/// spatha::spmm_vnm with a packed int8 panel and an int32 accumulator
+/// tile. Stage 3 is `write_back(r0, c0, width, acc, scratch)` with r0 the
+/// tile's first output row and acc its V x width int32 sums.
+template <class WriteBack>
+void run_tiles_i8(const QuantizedVnmMatrix& a, const QuantizedB& bq,
+                  const spatha::SpmmConfig& cfg, ThreadPool& pool,
+                  spatha::SpmmScratchPool* scratch,
+                  const WriteBack& write_back) {
   const VnmConfig fmt = a.config();
-  const std::size_t sel = fmt.selected_cols();
+  const std::size_t b_cols = bq.values.cols();
   const std::size_t groups = a.groups_per_row();
-  const Fp8Format f8 = a.format();
-  const std::size_t span = (g1 - g0) * fmt.n;
-  s.a_vals.resize(span);
-  s.a_offs.resize(span);
-  const float* pan = s.panel.data();
+  const std::size_t groups_per_panel = cfg.block_k / fmt.m;
+  const std::size_t c_tiles = (b_cols + cfg.block_c - 1) / cfg.block_c;
+  const bool fixed = cfg.column_loc == spatha::ColumnLocMode::kFixed;
+  pool.parallel_for_chunks(
+      a.block_rows() * c_tiles, [&](std::size_t t0, std::size_t t1) {
+        spatha::detail::ScratchLease scratch_lease;
+        spatha::detail::SpmmScratch& s = scratch_lease.bind(scratch);
+        for (std::size_t t = t0; t < t1; ++t) {
+          const std::size_t br = t / c_tiles;
+          const std::size_t c0 = (t % c_tiles) * cfg.block_c;
+          const std::size_t width = std::min(b_cols, c0 + cfg.block_c) - c0;
 
-  for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-    const std::size_t r = br * fmt.v + dr;
-    const std::uint8_t* vals = a.values().data() + (r * groups + g0) * fmt.n;
-    const std::uint8_t* midx =
-        a.m_indices().data() + (r * groups + g0) * fmt.n;
-    std::size_t cnt = 0;
-    for (std::size_t k = 0; k < span; ++k) {
-      const float av = fp8_to_float(vals[k], f8);
-      if (av == 0.0f) continue;
-      s.a_vals[cnt] = av;
-      s.a_offs[cnt] = static_cast<std::uint32_t>(
-          ((k / fmt.n) * sel + midx[k]) * width);
-      ++cnt;
-    }
-
-    float* arow = acc + dr * width;
-    std::size_t n0 = 0;
-    for (; n0 + spatha::detail::kStrip <= width;
-         n0 += spatha::detail::kStrip) {
-      float regs[spatha::detail::kStrip];
-      for (std::size_t u = 0; u < spatha::detail::kStrip; ++u)
-        regs[u] = arow[n0 + u];
-      for (std::size_t t = 0; t < cnt; ++t) {
-        const float av = s.a_vals[t];
-        const float* bp = pan + s.a_offs[t] + n0;
-        for (std::size_t u = 0; u < spatha::detail::kStrip; ++u)
-          regs[u] += av * bp[u];
-      }
-      for (std::size_t u = 0; u < spatha::detail::kStrip; ++u)
-        arow[n0 + u] = regs[u];
-    }
-    if (n0 < width) {
-      const std::size_t rem = width - n0;
-      for (std::size_t t = 0; t < cnt; ++t) {
-        const float av = s.a_vals[t];
-        const float* bp = pan + s.a_offs[t] + n0;
-        float* ar = arow + n0;
-        for (std::size_t u = 0; u < rem; ++u) ar[u] += av * bp[u];
-      }
-    }
-  }
+          s.acc_i32.assign(fmt.v * width, 0);
+#if defined(__AVX512VNNI__)
+          pack_a_codes_i8_vnni(a, br, s);
+#endif
+          for (std::size_t g0 = 0; g0 < groups; g0 += groups_per_panel) {
+            const std::size_t g1 = std::min(groups, g0 + groups_per_panel);
+#if defined(__AVX512VNNI__)
+            gather_b_panel_i8_vnni(a, bq.values, br, g0, g1, c0, width,
+                                   fixed, s.panel_u8);
+            accumulate_panel_i8_vnni(a, g0, g1, width, s, s.acc_i32.data());
+#else
+            gather_b_panel_i8(a, bq.values, br, g0, g1, c0, width, fixed,
+                              s.panel_i16);
+            accumulate_panel_i8(a, br, g0, g1, width, s, s.acc_i32.data());
+#endif
+          }
+          write_back(br * fmt.v, c0, width, s.acc_i32.data(), s);
+        }
+      },
+      cfg.chunk_grain);
 }
 
 void check_parts(const VnmConfig& cfg, std::size_t rows, std::size_t cols,
@@ -715,90 +898,39 @@ std::size_t Fp8VnmMatrix::compressed_bytes() const {
 FloatMatrix spmm_vnm_i8(const QuantizedVnmMatrix& a, const HalfMatrix& b,
                         const spatha::SpmmConfig& cfg, ThreadPool* pool,
                         spatha::SpmmScratchPool* scratch) {
-  const VnmConfig fmt = a.config();
-  VENOM_CHECK_MSG(a.cols() == b.rows(), "quantized SpMM shape mismatch");
-  spatha::validate(cfg, fmt, a.rows(), a.cols(), b.cols());
-  if (pool == nullptr) pool = &ThreadPool::global();
-
-  const QuantizedB bq = quantize_columns(b);
-
+  const QuantizedB bq = prepare_i8(a, b, cfg, pool);
   FloatMatrix c(a.rows(), b.cols());
-  const std::size_t groups = a.groups_per_row();
-  const std::size_t groups_per_panel = cfg.block_k / fmt.m;
-  const std::size_t c_tiles = (b.cols() + cfg.block_c - 1) / cfg.block_c;
-  const std::size_t block_rows = a.block_rows();
-  const bool fixed = cfg.column_loc == spatha::ColumnLocMode::kFixed;
+  run_tiles_i8(a, bq, cfg, *pool, scratch,
+               [&](std::size_t r0, std::size_t c0, std::size_t width,
+                   const std::int32_t* acc, spatha::detail::SpmmScratch&) {
+                 for (std::size_t dr = 0; dr < a.config().v; ++dr)
+                   dequantize_row(acc + dr * width, a.row_scale(r0 + dr),
+                                  &bq.col_scale[c0], &c(r0 + dr, c0), width);
+               });
+  return c;
+}
 
-  // Same (block row, C tile) decomposition as spatha::spmm_vnm; the
-  // panel is packed int8 and the accumulator tile int32, with the
-  // scale_row * scale_col dequantization fused into stage 3.
-  pool->parallel_for_chunks(
-      block_rows * c_tiles, [&](std::size_t t0, std::size_t t1) {
-        spatha::detail::ScratchLease scratch_lease;
-        spatha::detail::SpmmScratch& s = scratch_lease.bind(scratch);
-        for (std::size_t t = t0; t < t1; ++t) {
-          const std::size_t br = t / c_tiles;
-          const std::size_t ct = t % c_tiles;
-          const std::size_t c0 = ct * cfg.block_c;
-          const std::size_t c1 = std::min(b.cols(), c0 + cfg.block_c);
-          const std::size_t width = c1 - c0;
-
-          s.acc_i32.assign(fmt.v * width, 0);
-#if defined(__AVX512VNNI__)
-          pack_a_codes_i8_vnni(a, br, s);
-#endif
-          for (std::size_t g0 = 0; g0 < groups; g0 += groups_per_panel) {
-            const std::size_t g1 = std::min(groups, g0 + groups_per_panel);
-#if defined(__AVX512VNNI__)
-            gather_b_panel_i8_vnni(a, bq.values, br, g0, g1, c0, width,
-                                   fixed, s.panel_u8);
-            accumulate_panel_i8_vnni(a, g0, g1, width, s, s.acc_i32.data());
-#else
-            gather_b_panel_i8(a, bq.values, br, g0, g1, c0, width, fixed,
-                              s.panel_i16);
-            accumulate_panel_i8(a, br, g0, g1, width, s, s.acc_i32.data());
-#endif
-          }
-
-          // Stage 3: dequantizing write-back of the finished tile. The
-          // vector path computes (float(acc) * rs) * cs in the same
-          // per-element order as the scalar loop, so it is bit-identical.
-          for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-            const std::size_t r = br * fmt.v + dr;
-            const float rs = a.row_scale(r);
-            float* crow = &c(r, c0);
-            const std::int32_t* arow = &s.acc_i32[dr * width];
-            const float* cs = &bq.col_scale[c0];
-            std::size_t n = 0;
-#if defined(__AVX512F__)
-            const __m512 rsv = _mm512_set1_ps(rs);
-            for (; n + 16 <= width; n += 16)
-              _mm512_storeu_ps(
-                  crow + n,
-                  _mm512_mul_ps(
-                      _mm512_mul_ps(
-                          _mm512_cvtepi32_ps(_mm512_loadu_si512(
-                              reinterpret_cast<const void*>(arow + n))),
-                          rsv),
-                      _mm512_loadu_ps(cs + n)));
-#elif defined(__AVX2__)
-            const __m256 rsv = _mm256_set1_ps(rs);
-            for (; n + 8 <= width; n += 8)
-              _mm256_storeu_ps(
-                  crow + n,
-                  _mm256_mul_ps(
-                      _mm256_mul_ps(
-                          _mm256_cvtepi32_ps(_mm256_loadu_si256(
-                              reinterpret_cast<const __m256i*>(arow + n))),
-                          rsv),
-                      _mm256_loadu_ps(cs + n)));
-#endif
-            for (; n < width; ++n)
-              crow[n] = float(arow[n]) * rs * cs[n];
-          }
-        }
-      },
-      cfg.chunk_grain);
+HalfMatrix spmm_vnm_i8_fused(const QuantizedVnmMatrix& a, const HalfMatrix& b,
+                             const spatha::Epilogue& epilogue,
+                             const spatha::SpmmConfig& cfg, ThreadPool* pool,
+                             spatha::SpmmScratchPool* scratch) {
+  check_bias(epilogue, a.rows());
+  const QuantizedB bq = prepare_i8(a, b, cfg, pool);
+  HalfMatrix c(a.rows(), b.cols());
+  // The dequantized tile lands in float scratch first, so bias and
+  // activation see exactly the values spmm_vnm_i8 would have returned.
+  const std::size_t v = a.config().v;
+  run_tiles_i8(a, bq, cfg, *pool, scratch,
+               [&](std::size_t r0, std::size_t c0, std::size_t width,
+                   const std::int32_t* acc, spatha::detail::SpmmScratch& s) {
+                 s.acc.resize(v * width);
+                 for (std::size_t dr = 0; dr < v; ++dr)
+                   dequantize_row(acc + dr * width, a.row_scale(r0 + dr),
+                                  &bq.col_scale[c0], &s.acc[dr * width],
+                                  width);
+                 spatha::apply_epilogue_tile(epilogue, r0, v, s.acc.data(),
+                                             width, &c(r0, c0), c.cols());
+               });
   return c;
 }
 
@@ -852,44 +984,27 @@ FloatMatrix spmm_vnm_i8_scalar(const QuantizedVnmMatrix& a,
 FloatMatrix spmm_vnm_fp8(const Fp8VnmMatrix& a, const HalfMatrix& b,
                          const spatha::SpmmConfig& cfg, ThreadPool* pool,
                          spatha::SpmmScratchPool* scratch) {
-  const VnmConfig fmt = a.config();
   VENOM_CHECK_MSG(a.cols() == b.rows(), "fp8 SpMM shape mismatch");
-  spatha::validate(cfg, fmt, a.rows(), a.cols(), b.cols());
+  spatha::validate(cfg, a.config(), a.rows(), a.cols(), b.cols());
   if (pool == nullptr) pool = &ThreadPool::global();
-
   FloatMatrix c(a.rows(), b.cols());
-  const std::size_t groups = a.groups_per_row();
-  const std::size_t groups_per_panel = cfg.block_k / fmt.m;
-  const std::size_t c_tiles = (b.cols() + cfg.block_c - 1) / cfg.block_c;
-  const std::size_t block_rows = a.block_rows();
-  const bool fixed = cfg.column_loc == spatha::ColumnLocMode::kFixed;
+  spatha::detail::run_tiles_f32(a, fp8_values(a), b, cfg, *pool, scratch,
+                                spatha::detail::copy_tile_to(c, a.config().v));
+  return c;
+}
 
-  pool->parallel_for_chunks(
-      block_rows * c_tiles, [&](std::size_t t0, std::size_t t1) {
-        spatha::detail::ScratchLease scratch_lease;
-        spatha::detail::SpmmScratch& s = scratch_lease.bind(scratch);
-        for (std::size_t t = t0; t < t1; ++t) {
-          const std::size_t br = t / c_tiles;
-          const std::size_t ct = t % c_tiles;
-          const std::size_t c0 = ct * cfg.block_c;
-          const std::size_t c1 = std::min(b.cols(), c0 + cfg.block_c);
-          const std::size_t width = c1 - c0;
-
-          s.acc.assign(fmt.v * width, 0.0f);
-          for (std::size_t g0 = 0; g0 < groups; g0 += groups_per_panel) {
-            const std::size_t g1 = std::min(groups, g0 + groups_per_panel);
-            gather_b_panel_fp8(a, b, br, g0, g1, c0, width, fixed, s.panel);
-            accumulate_panel_fp8(a, br, g0, g1, width, s, s.acc.data());
-          }
-
-          for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-            float* crow = &c(br * fmt.v + dr, c0);
-            const float* arow = &s.acc[dr * width];
-            std::copy(arow, arow + width, crow);
-          }
-        }
-      },
-      cfg.chunk_grain);
+HalfMatrix spmm_vnm_fp8_fused(const Fp8VnmMatrix& a, const HalfMatrix& b,
+                              const spatha::Epilogue& epilogue,
+                              const spatha::SpmmConfig& cfg, ThreadPool* pool,
+                              spatha::SpmmScratchPool* scratch) {
+  VENOM_CHECK_MSG(a.cols() == b.rows(), "fp8 SpMM shape mismatch");
+  check_bias(epilogue, a.rows());
+  spatha::validate(cfg, a.config(), a.rows(), a.cols(), b.cols());
+  if (pool == nullptr) pool = &ThreadPool::global();
+  HalfMatrix c(a.rows(), b.cols());
+  spatha::detail::run_tiles_f32(
+      a, fp8_values(a), b, cfg, *pool, scratch,
+      spatha::detail::epilogue_tile_to(c, a.config().v, epilogue));
   return c;
 }
 

@@ -32,6 +32,7 @@
 #include "common/thread_pool.hpp"
 #include "format/vnm.hpp"
 #include "spatha/config.hpp"
+#include "spatha/epilogue.hpp"
 #include "spatha/spmm.hpp"
 #include "tensor/matrix.hpp"
 
@@ -161,7 +162,8 @@ class Fp8VnmMatrix {
 
 /// C(fp32) = dequant(A_i8 * quant(B)): the dense operand is quantized
 /// per column with symmetric int8; the kernel gathers packed int8 B
-/// panels, accumulates in int32 through the register-blocked strips, and
+/// panels, accumulates in int32 (register-blocked column strips, row
+/// lanes for the columns past the last full strip), and
 /// the output element (r, c) dequantizes as
 /// float(acc) * row_scale(r) * col_scale(c) on the epilogue. Tiling,
 /// chunk_grain, and ColumnLocMode come from `cfg` (spmm_vnm semantics);
@@ -172,6 +174,16 @@ FloatMatrix spmm_vnm_i8(const QuantizedVnmMatrix& a, const HalfMatrix& b,
                         const spatha::SpmmConfig& cfg,
                         ThreadPool* pool = nullptr,
                         spatha::SpmmScratchPool* scratch = nullptr);
+
+/// C_half = act(spmm_vnm_i8(a, b, cfg) + bias): the epilogue runs in the
+/// dequantizing write-back of each tile (spatha::apply_epilogue_tile on
+/// the dequantized tile), so the result is bit-identical to spmm_vnm_i8
+/// followed by the separate epilogue, without materializing C in fp32.
+HalfMatrix spmm_vnm_i8_fused(const QuantizedVnmMatrix& a, const HalfMatrix& b,
+                             const spatha::Epilogue& epilogue,
+                             const spatha::SpmmConfig& cfg,
+                             ThreadPool* pool = nullptr,
+                             spatha::SpmmScratchPool* scratch = nullptr);
 
 /// Convenience overload with the tuned/heuristic configuration.
 /// `tuning` is the cache whose "+i8" entry (if any) picks the config —
@@ -198,6 +210,14 @@ FloatMatrix spmm_vnm_fp8(const Fp8VnmMatrix& a, const HalfMatrix& b,
                          const spatha::SpmmConfig& cfg,
                          ThreadPool* pool = nullptr,
                          spatha::SpmmScratchPool* scratch = nullptr);
+
+/// Fused-epilogue form of spmm_vnm_fp8 (fp16 output), bit-identical to
+/// spmm_vnm_fp8 followed by the separate epilogue.
+HalfMatrix spmm_vnm_fp8_fused(const Fp8VnmMatrix& a, const HalfMatrix& b,
+                              const spatha::Epilogue& epilogue,
+                              const spatha::SpmmConfig& cfg,
+                              ThreadPool* pool = nullptr,
+                              spatha::SpmmScratchPool* scratch = nullptr);
 
 /// Convenience overload with the tuned/heuristic configuration (same
 /// cache-threading contract as the spmm_vnm_i8 overload, under the

@@ -23,27 +23,26 @@ float apply_activation(Activation act, float v) {
   return v;
 }
 
-namespace {
-
-/// Shared stage-1/2 body: accumulates the V x [c0,c1) tile of block row
-/// `br` into s.acc through the packed float-panel micro-kernel.
-void accumulate_block(const VnmMatrix& a, const HalfMatrix& b,
-                      const SpmmConfig& cfg, std::size_t br, std::size_t c0,
-                      std::size_t c1, detail::SpmmScratch& s) {
-  const VnmConfig fmt = a.config();
-  const std::size_t groups = a.groups_per_row();
-  const std::size_t groups_per_panel = cfg.block_k / fmt.m;
-  const std::size_t width = c1 - c0;
-  const bool fixed = cfg.column_loc == ColumnLocMode::kFixed;
-
-  for (std::size_t g0 = 0; g0 < groups; g0 += groups_per_panel) {
-    const std::size_t g1 = std::min(groups, g0 + groups_per_panel);
-    detail::gather_b_panel_f32(a, b, br, g0, g1, c0, c1, fixed, s.panel);
-    detail::accumulate_panel_f32(a, br, g0, g1, width, s, s.acc.data());
+void apply_epilogue_tile(const Epilogue& epilogue, std::size_t r0,
+                         std::size_t rows, float* acc, std::size_t width,
+                         half_t* out, std::size_t ld) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float bias = epilogue.bias.empty() ? 0.0f : epilogue.bias[r0 + i];
+    float* row = acc + i * width;
+    if (epilogue.activation == Activation::kNone) {
+      for (std::size_t n = 0; n < width; ++n) row[n] = row[n] + bias;
+    } else {
+      for (std::size_t n = 0; n < width; ++n)
+        row[n] = apply_activation(epilogue.activation, row[n] + bias);
+    }
   }
+  if (ld == width) {
+    float_to_half_n(acc, out, rows * width);
+    return;
+  }
+  for (std::size_t i = 0; i < rows; ++i)
+    float_to_half_n(acc + i * width, out + i * ld, width);
 }
-
-}  // namespace
 
 HalfMatrix spmm_vnm_fused(const VnmMatrix& a, const HalfMatrix& b,
                           const Epilogue& epilogue, const SpmmConfig& cfg,
@@ -57,35 +56,8 @@ HalfMatrix spmm_vnm_fused(const VnmMatrix& a, const HalfMatrix& b,
   if (pool == nullptr) pool = &ThreadPool::global();
 
   HalfMatrix c(a.rows(), b.cols());
-  const std::size_t c_tiles = (b.cols() + cfg.block_c - 1) / cfg.block_c;
-
-  pool->parallel_for_chunks(
-      a.block_rows() * c_tiles, [&](std::size_t t0, std::size_t t1) {
-        detail::ScratchLease scratch_lease;
-        detail::SpmmScratch& s = scratch_lease.bind(scratch);
-        for (std::size_t t = t0; t < t1; ++t) {
-          const std::size_t br = t / c_tiles;
-          const std::size_t ct = t % c_tiles;
-          const std::size_t c0 = ct * cfg.block_c;
-          const std::size_t c1 = std::min(b.cols(), c0 + cfg.block_c);
-          const std::size_t width = c1 - c0;
-
-          s.acc.assign(fmt.v * width, 0.0f);
-          accumulate_block(a, b, cfg, br, c0, c1, s);
-
-          // Fused stage 3: bias + activation in float, then one bulk fp16
-          // conversion per output row.
-          for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-            const std::size_t r = br * fmt.v + dr;
-            const float bias = epilogue.bias.empty() ? 0.0f : epilogue.bias[r];
-            float* arow = &s.acc[dr * width];
-            for (std::size_t n = 0; n < width; ++n)
-              arow[n] = apply_activation(epilogue.activation, arow[n] + bias);
-            float_to_half_n(arow, &c(r, c0), width);
-          }
-        }
-      },
-      cfg.chunk_grain);
+  detail::run_tiles_f32(a, detail::half_values(a), b, cfg, *pool, scratch,
+                        detail::epilogue_tile_to(c, fmt.v, epilogue));
   return c;
 }
 
@@ -120,20 +92,17 @@ std::vector<FloatMatrix> spmm_vnm_batched(const VnmMatrix& a,
         detail::SpmmScratch s;
         for (std::size_t t = t0; t < t1; ++t) {
           const std::size_t br = t / c_tiles;
-          const std::size_t ct = t % c_tiles;
-          const std::size_t c0 = ct * cfg.block_c;
+          const std::size_t c0 = (t % c_tiles) * cfg.block_c;
           const std::size_t c1 = std::min(b_cols, c0 + cfg.block_c);
-          const std::size_t width = c1 - c0;
 
           // The sparse operand's traversal order and column-loc reads
           // repeat identically for every batch element — the
           // weight-stationary reuse batched inference exploits.
           for (std::size_t batch = 0; batch < bs.size(); ++batch) {
-            s.acc.assign(fmt.v * width, 0.0f);
-            accumulate_block(a, bs[batch], cfg, br, c0, c1, s);
-            for (std::size_t dr = 0; dr < fmt.v; ++dr)
-              std::copy(&s.acc[dr * width], &s.acc[dr * width] + width,
-                        &cs[batch](br * fmt.v + dr, c0));
+            detail::accumulate_tile_f32(a, detail::half_values(a), bs[batch],
+                                        cfg, br, c0, c1, s);
+            detail::copy_tile_to(cs[batch], fmt.v)(br, c0, c1 - c0,
+                                                   s.acc.data());
           }
         }
       },

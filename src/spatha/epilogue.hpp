@@ -33,6 +33,17 @@ struct Epilogue {
 /// Spatha stage 3 does — keeping the two bit-identical by construction.
 float apply_activation(Activation act, float v);
 
+/// Stage 3 of a finished rows x width tile whose first row is output row
+/// r0: out[i * ld + n] = half(act(acc[i * width + n] + bias[r0 + i])),
+/// bias + activation in float (overwriting `acc`), then bulk fp16
+/// conversion — one call for the whole tile when it spans full output
+/// rows (ld == width), else one per row. Every fused write-back — the
+/// Spatha kernels, the quantized backends and the ops layer's generic
+/// fallback — runs this one function, so they agree bit for bit.
+void apply_epilogue_tile(const Epilogue& epilogue, std::size_t r0,
+                         std::size_t rows, float* acc, std::size_t width,
+                         half_t* out, std::size_t ld);
+
 /// C_half = act(A_vnm * B + bias), computed tile-by-tile with the
 /// epilogue fused into the write-back stage. `scratch` as in spmm_vnm:
 /// a pool owned by the caller keeps the packed panels warm across calls.

@@ -20,6 +20,7 @@
 #include "spatha/spmm.hpp"
 #include "spatha/tuning_cache.hpp"
 #include "transformer/encoder.hpp"
+#include "serving_geometry.hpp"
 
 namespace venom::quant {
 namespace {
@@ -29,6 +30,15 @@ VnmMatrix random_vnm(std::size_t rows, std::size_t cols, VnmConfig cfg,
   Rng rng(seed);
   return VnmMatrix::from_dense_magnitude(random_half_matrix(rows, cols, rng),
                                          cfg);
+}
+
+/// Bitwise equality (half_t's operator== equates -0 with +0 and never
+/// matches NaN).
+bool same_bits(const HalfMatrix& x, const HalfMatrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    if (x.flat()[i].bits() != y.flat()[i].bits()) return false;
+  return true;
 }
 
 TEST(Quantize, RoundTripErrorBoundedByScale) {
@@ -203,6 +213,56 @@ TEST(SpmmFp8, FastMatchesScalarOnRaggedShapesBothModesBothFormats) {
   }
 }
 
+TEST(SpmmI8, ServingGeometryFastMatchesScalarBothModes) {
+  // V 16/64/128 and 24 (a partial 16-row lane block) at every decode,
+  // prefill and mixed-batch width. B is quantized per column, so an
+  // Inf/NaN activation would poison its column's scale in the kernel and
+  // the oracle alike; the rows only zero-valued slots select hold -0.
+  std::uint64_t seed = 140;
+  for (const std::size_t v : test_geometry::kServingV) {
+    for (const spatha::ColumnLocMode mode :
+         {spatha::ColumnLocMode::kEnabled, spatha::ColumnLocMode::kFixed}) {
+      const VnmMatrix fp16 = test_geometry::serving_operand(v, seed++);
+      const QuantizedVnmMatrix q = QuantizedVnmMatrix::quantize(fp16);
+      for (const std::size_t width : test_geometry::kServingWidths) {
+        const HalfMatrix b =
+            test_geometry::poisoned_b(fp16, mode, width, seed++, {-0.0f});
+        spatha::SpmmConfig cfg = spatha::select_config_heuristic_i8(
+            q.config(), q.rows(), q.cols(), width);
+        cfg.column_loc = mode;
+        EXPECT_EQ(spmm_vnm_i8(q, b, cfg), spmm_vnm_i8_scalar(q, b, mode))
+            << "V=" << v << " width=" << width << " mode=" << int(mode);
+      }
+    }
+  }
+}
+
+TEST(SpmmFp8, ServingGeometryFastMatchesScalarWithPoisonedZeroSlots) {
+  // fp8 runs the shared float row-lane kernel: rows only zero-valued
+  // slots select hold Inf/NaN/-0, which must never reach the output.
+  std::uint64_t seed = 160;
+  for (const std::size_t v : test_geometry::kServingV) {
+    for (const spatha::ColumnLocMode mode :
+         {spatha::ColumnLocMode::kEnabled, spatha::ColumnLocMode::kFixed}) {
+      const VnmMatrix fp16 = test_geometry::serving_operand(v, seed++);
+      ASSERT_GT(test_geometry::poisoned_zero_slots(fp16, mode), 0u);
+      for (const Fp8Format format : {Fp8Format::kE5M2, Fp8Format::kE4M3}) {
+        const Fp8VnmMatrix q = Fp8VnmMatrix::quantize(fp16, format);
+        for (const std::size_t width : test_geometry::kServingWidths) {
+          const HalfMatrix b = test_geometry::poisoned_b(
+              fp16, mode, width, seed++, test_geometry::non_finite_specials());
+          spatha::SpmmConfig cfg = spatha::select_config_heuristic(
+              q.config(), q.rows(), q.cols(), width);
+          cfg.column_loc = mode;
+          EXPECT_EQ(spmm_vnm_fp8(q, b, cfg), spmm_vnm_fp8_scalar(q, b, mode))
+              << to_string(format) << " V=" << v << " width=" << width
+              << " mode=" << int(mode);
+        }
+      }
+    }
+  }
+}
+
 TEST(SpmmFp8, CloseToFp16Kernel) {
   Rng rng(70);
   const VnmMatrix fp16 = random_vnm(32, 64, {8, 2, 8}, 71);
@@ -302,6 +362,43 @@ TEST(QuantDispatch, QuantizedArgsSelectQuantizedBackends) {
   {
     const ops::ScopedBackend forced("vnm-fp8-scalar");
     EXPECT_EQ(ops::matmul(fargs), f8_fast);
+  }
+}
+
+TEST(QuantDispatch, FusedEpilogueBitIdenticalToRunThenEpilogue) {
+  // vnm-int8 and vnm-fp8 apply bias, activation and the fp16 convert in
+  // their write-back; the result must equal the generic
+  // Matmul::run_fused (run(), then the separate epilogue) bit for bit.
+  const VnmMatrix fp16 = random_vnm(64, 128, {16, 2, 8}, 120);
+  const QuantizedVnmMatrix q = QuantizedVnmMatrix::quantize(fp16);
+  const Fp8VnmMatrix f8 = Fp8VnmMatrix::quantize(fp16, Fp8Format::kE4M3);
+  std::vector<float> bias(fp16.rows());
+  for (std::size_t r = 0; r < bias.size(); ++r)
+    bias[r] = 0.125f * float(int(r % 9) - 4);
+  ops::ExecContext ctx;
+  Rng rng(121);
+  for (const std::size_t width : {1, 7, 16, 17}) {
+    const HalfMatrix b = random_half_matrix(128, width, rng);
+    for (const ops::MatmulArgs& args :
+         {ops::MatmulArgs::make(q, b), ops::MatmulArgs::make(f8, b)}) {
+      const ops::Matmul& backend =
+          ops::BackendRegistry::instance().select(args.desc());
+      for (const bool with_bias : {false, true}) {
+        for (const spatha::Activation act :
+             {spatha::Activation::kNone, spatha::Activation::kRelu,
+              spatha::Activation::kGelu}) {
+          spatha::Epilogue epilogue;
+          if (with_bias) epilogue.bias = bias;
+          epilogue.activation = act;
+          const HalfMatrix fused = backend.run_fused(args, epilogue, ctx);
+          const HalfMatrix generic =
+              backend.ops::Matmul::run_fused(args, epilogue, ctx);
+          EXPECT_TRUE(same_bits(fused, generic))
+              << backend.name() << " width=" << width
+              << " bias=" << with_bias << " act=" << int(act);
+        }
+      }
+    }
   }
 }
 
@@ -475,6 +572,29 @@ TEST(LinearQuant, QuantizedForwardCloseToFp16AndRestorable) {
   // Restoring fp16 is bit-identical to the pre-quantization forward.
   layer.set_weight_dtype(ops::Dtype::kF16);
   EXPECT_TRUE(layer.forward(x) == y_fp16);
+}
+
+TEST(LinearQuant, ColumnsAreIndependentBitwise) {
+  // batched = single at the kernel level: a 17-column forward (one
+  // 16-column strip plus a row-lane column) equals every column forwarded
+  // alone (row lanes only), bit for bit — for the fp16 weight, and for
+  // the int8 one, whose activation scales are per column.
+  Rng rng(130);
+  transformer::Linear layer = transformer::Linear::random(128, 64, rng);
+  layer.sparsify({64, 2, 8});
+  const HalfMatrix x = random_half_matrix(64, 17, rng, 0.5f);
+  for (const ops::Dtype dtype : {ops::Dtype::kF16, ops::Dtype::kI8}) {
+    layer.set_weight_dtype(dtype);
+    const HalfMatrix y = layer.forward(x);
+    for (std::size_t n = 0; n < x.cols(); ++n) {
+      HalfMatrix xn(x.rows(), 1);
+      for (std::size_t k = 0; k < x.rows(); ++k) xn(k, 0) = x(k, n);
+      const HalfMatrix yn = layer.forward(xn);
+      for (std::size_t r = 0; r < y.rows(); ++r)
+        ASSERT_EQ(yn(r, 0).bits(), y(r, n).bits())
+            << to_string(dtype) << " column " << n << " row " << r;
+    }
+  }
 }
 
 TEST(EncoderQuant, QuantizeServeParityAgainstFp16) {

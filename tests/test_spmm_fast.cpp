@@ -16,6 +16,7 @@
 #include "common/thread_pool.hpp"
 #include "spatha/epilogue.hpp"
 #include "spatha/spmm.hpp"
+#include "serving_geometry.hpp"
 
 namespace venom::spatha {
 namespace {
@@ -117,6 +118,49 @@ TEST(SpmmFast, FusedEpilogueMatchesHalfOfUnfused) {
   ASSERT_EQ(fused.cols(), expect.cols());
   for (std::size_t i = 0; i < fused.size(); ++i)
     EXPECT_EQ(fused.flat()[i].bits(), expect.flat()[i].bits()) << "at " << i;
+}
+
+TEST(SpmmFast, ServingGeometryBitIdenticalWithPoisonedZeroSlots) {
+  // V of real models (and 24, which ends in a partial 16-row lane block)
+  // against every decode / prefill / mixed-batch width: the row-lane
+  // kernel (widths below 16, the tails of 17, 31, 33) and the strips.
+  // B rows that only zero-valued slots select hold Inf/NaN/-0, so a
+  // kernel that multiplies a zero weight instead of skipping it fails.
+  std::uint64_t seed = 900;
+  for (const std::size_t v : test_geometry::kServingV) {
+    for (const ColumnLocMode mode :
+         {ColumnLocMode::kEnabled, ColumnLocMode::kFixed}) {
+      const VnmMatrix a = test_geometry::serving_operand(v, seed++);
+      ASSERT_GT(test_geometry::poisoned_zero_slots(a, mode), 0u);
+      std::vector<float> bias(a.rows());
+      for (std::size_t r = 0; r < a.rows(); ++r)
+        bias[r] = 0.25f * float(r % 7) - 0.5f;
+      const Epilogue epilogue{bias, Activation::kGelu};
+      for (const std::size_t width : test_geometry::kServingWidths) {
+        const HalfMatrix b = test_geometry::poisoned_b(
+            a, mode, width, seed++, test_geometry::non_finite_specials());
+        SpmmConfig cfg = select_config(a.config(), a.rows(), a.cols(), width);
+        cfg.column_loc = mode;
+        const FloatMatrix fast = spmm_vnm(a, b, cfg);
+        const FloatMatrix oracle = spmm_vnm_scalar(a, b, cfg);
+        EXPECT_EQ(fast, oracle) << "V=" << v << " width=" << width
+                                << " mode=" << int(mode);
+        if (mode == ColumnLocMode::kEnabled) {
+          EXPECT_EQ(fast, spmm_vnm_reference(a, b)) << "V=" << v
+                                                    << " width=" << width;
+        }
+        const HalfMatrix fused = spmm_vnm_fused(a, b, epilogue, cfg);
+        for (std::size_t r = 0; r < a.rows(); ++r)
+          for (std::size_t n = 0; n < width; ++n)
+            ASSERT_EQ(fused(r, n).bits(),
+                      half_t(apply_activation(Activation::kGelu,
+                                              oracle(r, n) + bias[r]))
+                          .bits())
+                << "fused V=" << v << " width=" << width << " at (" << r
+                << ", " << n << ")";
+      }
+    }
+  }
 }
 
 TEST(SpmmNm, BitIdenticalToSpmm24Baseline) {
